@@ -4,7 +4,7 @@
 //! whose external fragmentation motivates non-contiguous allocation: a job
 //! waits until a single free `a × b` sub-mesh exists, even when enough
 //! scattered processors are free. They are included as baselines for the
-//! `ablation_contiguity` bench, not as paper figures.
+//! `scenarios/ablation_contiguity.toml` study, not as paper figures.
 
 use crate::{AllocId, Allocation, AllocationStrategy};
 use mesh2d::{Coord, Mesh, SubMesh};

@@ -32,8 +32,8 @@ pub struct BusyEntry {
 pub struct Gabl {
     busy: Vec<BusyEntry>,
     next_id: u64,
-    /// High-water mark of the busy list length (reported by the ablation
-    /// benches; the paper argues this stays small as the mesh scales, §6).
+    /// High-water mark of the busy list length (the paper argues it stays
+    /// small as the mesh scales, §6; `tests/busy_list_scaling.rs` checks).
     peak_busy_len: usize,
 }
 

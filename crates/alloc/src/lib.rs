@@ -193,6 +193,25 @@ impl StrategyKind {
         StrategyKind::Mbs,
     ];
 
+    /// The CLI / scenario-file spelling (the inverse of `FromStr`).
+    pub fn spelling(&self) -> String {
+        match *self {
+            StrategyKind::Gabl => "gabl".into(),
+            StrategyKind::Paging {
+                size_index,
+                indexing,
+            } => match indexing_name(indexing) {
+                None => format!("paging{size_index}"),
+                Some(name) => format!("paging{size_index}-{name}"),
+            },
+            StrategyKind::Mbs => "mbs".into(),
+            StrategyKind::FirstFit => "ff".into(),
+            StrategyKind::BestFit => "bf".into(),
+            StrategyKind::Random => "random".into(),
+            StrategyKind::Mc => "mc".into(),
+        }
+    }
+
     /// Instantiates the strategy for a given mesh. `seed` is only used by
     /// stochastic strategies (Random).
     pub fn build(&self, mesh: &Mesh, seed: u64) -> Box<dyn AllocationStrategy> {
@@ -211,11 +230,29 @@ impl StrategyKind {
     }
 }
 
+/// Short spellings of the non-row-major page indexing schemes: the
+/// `paging<k>-<name>` suffix of the strategy spelling and the `,<name>`
+/// of its display label. Row-major, the paper's scheme, has none.
+const INDEXING_NAMES: [(PageIndexing, &str); 3] = [
+    (PageIndexing::ShuffledRowMajor, "shuffled"),
+    (PageIndexing::SnakeLike, "snake"),
+    (PageIndexing::ShuffledSnakeLike, "shuffled-snake"),
+];
+
+/// The short spelling of a page indexing scheme (`None` for row-major).
+fn indexing_name(indexing: PageIndexing) -> Option<&'static str> {
+    INDEXING_NAMES
+        .iter()
+        .find(|(ix, _)| *ix == indexing)
+        .map(|(_, name)| *name)
+}
+
 impl core::str::FromStr for StrategyKind {
     type Err = String;
 
     /// Parses the CLI / scenario-file spelling: `gabl`, `paging0` ..
-    /// `paging3` (row-major), `mbs`, `ff`, `bf`, `random`, `mc`
+    /// `paging3` (row-major), `paging<k>-shuffled`, `paging<k>-snake`,
+    /// `paging<k>-shuffled-snake`, `mbs`, `ff`, `bf`, `random`, `mc`
     /// (case-insensitive).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
@@ -226,18 +263,24 @@ impl core::str::FromStr for StrategyKind {
             "random" => Ok(StrategyKind::Random),
             "mc" => Ok(StrategyKind::Mc),
             other => {
-                if let Some(idx) = other.strip_prefix("paging") {
-                    if let Ok(size_index) = idx.parse::<u8>() {
-                        if size_index <= 3 {
-                            return Ok(StrategyKind::Paging {
-                                size_index,
-                                indexing: PageIndexing::RowMajor,
-                            });
-                        }
-                    }
-                    return Err(format!(
-                        "unknown paging variant '{other}' (paging0 .. paging3)"
-                    ));
+                if let Some(rest) = other.strip_prefix("paging") {
+                    let (idx, indexing) = match rest.split_once('-') {
+                        None => (rest, Some(PageIndexing::RowMajor)),
+                        Some((idx, suffix)) => (
+                            idx,
+                            INDEXING_NAMES.iter().find(|(_, n)| *n == suffix).map(|(ix, _)| *ix),
+                        ),
+                    };
+                    return match (idx.parse::<u8>(), indexing) {
+                        (Ok(size_index @ 0..=3), Some(indexing)) => Ok(StrategyKind::Paging {
+                            size_index,
+                            indexing,
+                        }),
+                        _ => Err(format!(
+                            "unknown paging variant '{other}' (paging0 .. paging3, optionally \
+                             suffixed -shuffled, -snake or -shuffled-snake)"
+                        )),
+                    };
                 }
                 Err(format!(
                     "unknown strategy '{other}' (gabl, paging0..paging3, mbs, ff, bf, random, mc)"
@@ -251,7 +294,13 @@ impl core::fmt::Display for StrategyKind {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match *self {
             StrategyKind::Gabl => write!(f, "GABL"),
-            StrategyKind::Paging { size_index, .. } => write!(f, "Paging({size_index})"),
+            StrategyKind::Paging {
+                size_index,
+                indexing,
+            } => match indexing_name(indexing) {
+                None => write!(f, "Paging({size_index})"),
+                Some(name) => write!(f, "Paging({size_index},{name})"),
+            },
             StrategyKind::Mbs => write!(f, "MBS"),
             StrategyKind::FirstFit => write!(f, "FF"),
             StrategyKind::BestFit => write!(f, "BF"),
@@ -294,6 +343,22 @@ mod tests {
             "Paging(0)"
         );
         assert_eq!(StrategyKind::Mbs.to_string(), "MBS");
+        // non-row-major indexing is named, so labels never collide
+        let snake = StrategyKind::Paging {
+            size_index: 0,
+            indexing: PageIndexing::SnakeLike,
+        };
+        assert_eq!(snake.to_string(), "Paging(0,snake)");
+        assert_eq!("paging0-snake".parse::<StrategyKind>(), Ok(snake));
+        for ix in PageIndexing::ALL {
+            let kind = StrategyKind::Paging {
+                size_index: 2,
+                indexing: ix,
+            };
+            assert_eq!(kind.spelling().parse::<StrategyKind>(), Ok(kind));
+        }
+        assert!("paging0-zigzag".parse::<StrategyKind>().is_err());
+        assert!("paging4".parse::<StrategyKind>().is_err());
     }
 
     #[test]

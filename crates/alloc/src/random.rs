@@ -4,7 +4,7 @@
 //! It is the zero-contiguity extreme: like Paging(0) and MBS it never
 //! fails while enough processors are free, but its jobs are maximally
 //! dispersed, maximizing communication distance and contention. Used by
-//! the ablation benches as a lower bound on contiguity.
+//! the ablation scenarios as a lower bound on contiguity.
 
 use crate::{AllocId, Allocation, AllocationStrategy};
 use desim::SimRng;

@@ -29,12 +29,14 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use simstats::StopReason;
+use workload::TraceWorkload;
 
 use crate::pool;
 use crate::replicate::{derive_seed, run_points_on, PointResult};
-use crate::scenario::{OutputSpec, PointSettings, Scenario, ScenarioError};
+use crate::scenario::{OutputSpec, PointSettings, Scenario, ScenarioError, WorkloadName};
 
 /// Bump when the cache entry format or the spec string changes meaning:
 /// stale-format entries then miss instead of corrupting a merge.
@@ -56,6 +58,15 @@ pub struct CampaignPoint {
     pub spec: String,
     /// FNV-1a 64 hash of [`CampaignPoint::spec`], as 16 hex digits.
     pub hash: String,
+    /// The opened SWF file of a `trace`-workload point.
+    pub trace: Option<Arc<TraceWorkload>>,
+}
+
+impl CampaignPoint {
+    /// The [`crate::SimConfig`] this point runs.
+    pub fn sim_config(&self) -> crate::SimConfig {
+        self.settings.sim_config(self.seed, self.trace.as_ref())
+    }
 }
 
 /// FNV-1a 64-bit over a byte string.
@@ -71,20 +82,33 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Builds the canonical spec string of a point: every knob that can
 /// change simulation output, in fixed order, plus the cache format
 /// version. Cosmetic scenario properties (name, output layout) are
-/// deliberately absent.
-fn spec_string(s: &PointSettings, seed: u64) -> String {
+/// deliberately absent. A replayed trace enters by its validated
+/// summary — job count, mean inter-arrival time and mean work, as exact
+/// bits — not by path, so an edited file re-keys its points.
+fn spec_string(s: &PointSettings, seed: u64, trace: Option<&TraceWorkload>) -> String {
+    let workload = match trace {
+        None => s.workload.name().to_string(),
+        Some(t) => format!(
+            "{}(jobs={},mean_ia={:#x},mean_work={:#x})",
+            s.workload.name(),
+            t.len(),
+            t.mean_interarrival_s().to_bits(),
+            t.mean_work().to_bits()
+        ),
+    };
     format!(
-        "{CACHE_FORMAT}|mesh={}x{}|ts={}|plen={}|pattern=all-to-all|topology={}|strategy={}|\
+        "{CACHE_FORMAT}|mesh={}x{}|ts={}|plen={}|pattern={}|topology={}|strategy={}|\
          scheduler={}|workload={}|load={}|num_mes={}|runtime_scale={}|warmup={}|measured={}|\
          min_reps={}|max_reps={}|precision=paper95-5|seed={}",
         s.mesh_w,
         s.mesh_l,
         s.ts,
         s.plen,
+        s.pattern,
         s.topology,
         s.strategy,
         s.scheduler,
-        s.workload.name(),
+        workload,
         s.load,
         s.num_mes,
         s.runtime_scale,
@@ -98,8 +122,10 @@ fn spec_string(s: &PointSettings, seed: u64) -> String {
 
 /// Expands a scenario into its full cross-product of points, applying
 /// knob precedence (builtin < defaults < matrix < override) and deriving
-/// per-point seeds from the seed slot.
+/// per-point seeds from the seed slot. Each trace file is opened (and
+/// validated) once, however many points replay it.
 pub fn expand(s: &Scenario) -> Result<Vec<CampaignPoint>, ScenarioError> {
+    let mut traces: BTreeMap<String, Arc<TraceWorkload>> = BTreeMap::new();
     // sizes of each axis, and which axes advance the seed slot
     let sizes: Vec<usize> = s.matrix.iter().map(|(_, vs)| vs.len()).collect();
     let total: usize = sizes.iter().product();
@@ -150,7 +176,19 @@ pub fn expand(s: &Scenario) -> Result<Vec<CampaignPoint>, ScenarioError> {
             }
         }
         let seed = derive_seed(s.seed, slot);
-        let spec = spec_string(&settings, seed);
+        let trace = match (settings.workload, &settings.trace) {
+            (WorkloadName::Trace, Some(path)) => {
+                if !traces.contains_key(path) {
+                    let t = TraceWorkload::open(path).map_err(|e| {
+                        ScenarioError::new(0, "trace", format!("cannot replay {path:?}: {e}"))
+                    })?;
+                    traces.insert(path.clone(), Arc::new(t));
+                }
+                traces.get(path).cloned()
+            }
+            _ => None,
+        };
+        let spec = spec_string(&settings, seed, trace.as_deref());
         let hash = format!("{:016x}", fnv1a(spec.as_bytes()));
         points.push(CampaignPoint {
             index,
@@ -159,6 +197,7 @@ pub fn expand(s: &Scenario) -> Result<Vec<CampaignPoint>, ScenarioError> {
             seed,
             spec,
             hash,
+            trace,
         });
 
         // advance the odometer
@@ -384,7 +423,7 @@ pub fn run_campaign(
         for ((min_reps, max_reps), members) in &groups {
             let cfgs: Vec<crate::SimConfig> = members
                 .iter()
-                .map(|&i| points[i].settings.sim_config(points[i].seed))
+                .map(|&i| points[i].sim_config())
                 .collect();
             let fresh = run_points_on(&pool, &cfgs, *min_reps, *max_reps);
             for (&i, p) in members.iter().zip(fresh) {

@@ -2,7 +2,7 @@
 
 use mesh_alloc::StrategyKind;
 use mesh_sched::SchedulerKind;
-use workload::{JobSpec, ParagonModel, SideDist, TraceWorkload};
+use workload::{Cm5Model, JobSpec, ParagonModel, SideDist, TraceWorkload};
 use wormnet::{Pattern, TopologyKind};
 
 /// Which job stream drives a run.
@@ -30,6 +30,18 @@ pub enum WorkloadSpec {
         /// Seconds of trace runtime per message (DESIGN.md §3; mean
         /// runtime / runtime_scale becomes the mean per-processor message
         /// count).
+        runtime_scale: f64,
+    },
+    /// The synthetic LANL CM-5 trace (every job size a power of two) at a
+    /// given system load, drawn and scaled per replication exactly like
+    /// [`WorkloadSpec::SyntheticTrace`] — the paper's §6 future work on
+    /// traces from other machines.
+    SyntheticCm5 {
+        /// Statistical model of the CM-5 trace to draw from.
+        model: Cm5Model,
+        /// System load (jobs per time unit).
+        load: f64,
+        /// Seconds of trace runtime per message.
         runtime_scale: f64,
     },
     /// A fixed externally supplied job stream (e.g. parsed from SWF).
@@ -80,6 +92,7 @@ impl WorkloadSpec {
         match self {
             WorkloadSpec::Stochastic { load, .. } => *load,
             WorkloadSpec::SyntheticTrace { load, .. } => *load,
+            WorkloadSpec::SyntheticCm5 { load, .. } => *load,
             WorkloadSpec::Trace { load, .. } => *load,
             WorkloadSpec::FixedTrace(jobs) => {
                 if jobs.len() < 2 {

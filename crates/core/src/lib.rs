@@ -52,5 +52,5 @@ pub use simulator::{Simulator, StartDecision};
 // Re-export the vocabulary types callers configure with.
 pub use mesh_alloc::{PageIndexing, StrategyKind};
 pub use mesh_sched::SchedulerKind;
-pub use workload::{ParagonModel, SideDist, TraceWorkload};
+pub use workload::{Cm5Model, ParagonModel, SideDist, TraceWorkload};
 pub use wormnet::{Pattern, TopologyKind};

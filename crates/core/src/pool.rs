@@ -5,7 +5,7 @@
 //! are embarrassingly parallel — each one is a pure function of
 //! `(SimConfig, replication seed)` — so the whole workspace shares **one**
 //! pool of worker threads through which every experiment submits its
-//! `Simulator::run` calls, instead of each figure binary spinning up its
+//! `Simulator::run` calls, instead of each experiment spinning up its
 //! own scoped threads.
 //!
 //! Design rules:

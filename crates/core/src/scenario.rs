@@ -44,10 +44,12 @@
 //! [`render`](Scenario::render) writes a scenario back out in canonical
 //! form; `parse(render(s)) == s` is pinned by a property test.
 
+use std::sync::Arc;
+
 use mesh_alloc::StrategyKind;
 use mesh_sched::SchedulerKind;
-use workload::{ParagonModel, SideDist};
-use wormnet::TopologyKind;
+use workload::{Cm5Model, ParagonModel, SideDist, TraceWorkload};
+use wormnet::{Pattern, TopologyKind};
 
 use crate::config::{SimConfig, WorkloadSpec};
 
@@ -768,25 +770,41 @@ impl Scenario {
 // ---------------------------------------------------------------------------
 
 /// Which job-stream generator a point uses (the subset of
-/// [`WorkloadSpec`] that is expressible declaratively; SWF trace replay
-/// keeps its dedicated `procsim trace` front-end).
+/// [`WorkloadSpec`] that is expressible declaratively).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadName {
     /// Stochastic, uniform side lengths (the paper's default).
     Uniform,
     /// Stochastic, exponential side lengths.
     Exponential,
-    /// Synthetic SDSC Paragon trace model.
+    /// Synthetic SDSC Paragon trace model, drawn per replication.
     Paragon,
+    /// Synthetic LANL CM-5 trace model (power-of-two sizes), drawn per
+    /// replication.
+    Cm5,
+    /// Replay of the SWF file named by the `trace` knob; `load` is the
+    /// target offered load, as for `procsim trace --load`.
+    Trace,
 }
 
 impl WorkloadName {
+    /// Every workload: the `workload` knob's value set.
+    const ALL: [WorkloadName; 5] = [
+        WorkloadName::Uniform,
+        WorkloadName::Exponential,
+        WorkloadName::Paragon,
+        WorkloadName::Cm5,
+        WorkloadName::Trace,
+    ];
+
     /// Scenario-file spelling.
     pub fn name(self) -> &'static str {
         match self {
             WorkloadName::Uniform => "uniform",
             WorkloadName::Exponential => "exponential",
             WorkloadName::Paragon => "paragon",
+            WorkloadName::Cm5 => "cm5",
+            WorkloadName::Trace => "trace",
         }
     }
 }
@@ -803,6 +821,8 @@ pub struct PointSettings {
     pub ts: u32,
     /// Packet length in flits.
     pub plen: u32,
+    /// Communication pattern of every job.
+    pub pattern: Pattern,
     /// Network topology.
     pub topology: TopologyKind,
     /// Allocation strategy.
@@ -811,11 +831,15 @@ pub struct PointSettings {
     pub scheduler: SchedulerKind,
     /// Job-stream generator.
     pub workload: WorkloadName,
-    /// System load (jobs per time unit).
+    /// SWF file replayed by the `trace` workload (relative paths resolve
+    /// against the working directory).
+    pub trace: Option<String>,
+    /// System load: jobs per time unit, or the offered-load fraction for
+    /// the `trace` workload.
     pub load: f64,
     /// Mean per-processor message count (stochastic workloads).
     pub num_mes: f64,
-    /// Seconds of trace runtime per message (paragon workload).
+    /// Seconds of trace runtime per message (trace workloads).
     pub runtime_scale: f64,
     /// Warmup jobs discarded per replication.
     pub warmup: usize,
@@ -828,13 +852,14 @@ pub struct PointSettings {
 }
 
 /// Every knob name, in the canonical spec-string order.
-pub const KNOBS: [&str; 16] = [
-    "mesh_w", "mesh_l", "ts", "plen", "topology", "strategy", "scheduler", "workload", "load",
-    "num_mes", "runtime_scale", "warmup", "measured", "min_reps", "max_reps", "seed",
+pub const KNOBS: [&str; 18] = [
+    "mesh_w", "mesh_l", "ts", "plen", "pattern", "topology", "strategy", "scheduler", "workload",
+    "trace", "load", "num_mes", "runtime_scale", "warmup", "measured", "min_reps", "max_reps",
+    "seed",
 ];
 
 impl Default for PointSettings {
-    /// Built-in paper defaults: 16×22 mesh, ts 3, Plen 8, mesh topology,
+    /// Built-in paper defaults: 16×22 mesh, ts 3, Plen 8, all-to-all, mesh topology,
     /// GABL under FCFS, uniform stochastic workload at the CLI's default
     /// light load, quick fidelity.
     fn default() -> Self {
@@ -843,10 +868,12 @@ impl Default for PointSettings {
             mesh_l: 22,
             ts: 3,
             plen: 8,
+            pattern: Pattern::AllToAll,
             topology: TopologyKind::Mesh,
             strategy: StrategyKind::Gabl,
             scheduler: SchedulerKind::Fcfs,
             workload: WorkloadName::Uniform,
+            trace: None,
             load: 0.0008,
             num_mes: 5.0,
             runtime_scale: 360.0,
@@ -867,6 +894,22 @@ fn knob_str<'v>(v: &'v Value, line: usize, place: &str) -> Result<&'v str, Scena
             format!("expected a quoted string, got {}", other.type_name()),
         )),
     }
+}
+
+/// Picks the option of `options` whose `spelling` is the knob's string.
+fn knob_choice<T: Copy, const N: usize>(
+    v: &Value,
+    line: usize,
+    place: &str,
+    kind: &str,
+    options: [T; N],
+    spelling: impl Fn(T) -> String,
+) -> Result<T, ScenarioError> {
+    let name = knob_str(v, line, place)?;
+    options.into_iter().find(|&o| spelling(o) == name).ok_or_else(|| {
+        let known: Vec<String> = options.into_iter().map(spelling).collect();
+        ScenarioError::new(line, place, format!("unknown {kind} {name:?} ({})", known.join(", ")))
+    })
 }
 
 fn knob_pos_float(v: &Value, line: usize, place: &str) -> Result<f64, ScenarioError> {
@@ -920,6 +963,10 @@ impl PointSettings {
             "mesh_l" => self.mesh_l = nonzero(knob_uint::<u16>(v, line, place)?, line, place)?,
             "ts" => self.ts = knob_uint::<u32>(v, line, place)?,
             "plen" => self.plen = nonzero(knob_uint::<u32>(v, line, place)?, line, place)?,
+            "pattern" => {
+                self.pattern =
+                    knob_choice(v, line, place, "pattern", Pattern::ALL, |p| p.to_string())?;
+            }
             "topology" => {
                 self.topology = knob_str(v, line, place)?
                     .parse::<TopologyKind>()
@@ -936,18 +983,15 @@ impl PointSettings {
                     .map_err(|e| ScenarioError::new(line, place, e))?;
             }
             "workload" => {
-                self.workload = match knob_str(v, line, place)? {
-                    "uniform" => WorkloadName::Uniform,
-                    "exponential" => WorkloadName::Exponential,
-                    "paragon" => WorkloadName::Paragon,
-                    other => {
-                        return Err(ScenarioError::new(
-                            line,
-                            place,
-                            format!("unknown workload {other:?} (uniform, exponential, paragon)"),
-                        ))
-                    }
-                };
+                self.workload =
+                    knob_choice(v, line, place, "workload", WorkloadName::ALL, |w| w.name().into())?;
+            }
+            "trace" => {
+                let path = knob_str(v, line, place)?;
+                if path.trim().is_empty() {
+                    return Err(ScenarioError::new(line, place, "trace path must be non-empty"));
+                }
+                self.trace = Some(path.to_string());
             }
             "load" => self.load = knob_pos_float(v, line, place)?,
             "num_mes" => self.num_mes = knob_pos_float(v, line, place)?,
@@ -970,7 +1014,10 @@ impl PointSettings {
                 return Err(ScenarioError::new(
                     line,
                     place,
-                    format!("unknown knob {other:?} (known: {})", KNOBS[..15].join(", ")),
+                    format!(
+                        "unknown knob {other:?} (known: {})",
+                        KNOBS[..KNOBS.len() - 1].join(", ")
+                    ),
                 ))
             }
         }
@@ -979,6 +1026,13 @@ impl PointSettings {
 
     /// Cross-knob validation after precedence resolution.
     pub fn validate(&self, place: &str) -> Result<(), ScenarioError> {
+        if self.workload == WorkloadName::Trace && self.trace.is_none() {
+            return Err(ScenarioError::new(
+                0,
+                place,
+                "workload \"trace\" needs a `trace` knob naming the SWF file",
+            ));
+        }
         if self.max_reps < self.min_reps {
             return Err(ScenarioError::new(
                 0,
@@ -1001,10 +1055,12 @@ impl PointSettings {
             "mesh_l" => self.mesh_l.to_string(),
             "ts" => self.ts.to_string(),
             "plen" => self.plen.to_string(),
+            "pattern" => self.pattern.to_string(),
             "topology" => self.topology.to_string(),
-            "strategy" => cli_strategy_name(self.strategy),
-            "scheduler" => cli_scheduler_name(self.scheduler),
+            "strategy" => self.strategy.spelling(),
+            "scheduler" => self.scheduler.spelling(),
             "workload" => self.workload.name().to_string(),
+            "trace" => self.trace.clone().unwrap_or_default(),
             "load" => render_float(self.load),
             "num_mes" => render_float(self.num_mes),
             "runtime_scale" => render_float(self.runtime_scale),
@@ -1017,8 +1073,13 @@ impl PointSettings {
     }
 
     /// Builds the [`SimConfig`] of this point (its workload spec and
-    /// simulator knobs; `seed` is the derived per-point seed).
-    pub fn sim_config(&self, seed: u64) -> SimConfig {
+    /// simulator knobs; `seed` is the derived per-point seed). `trace` is
+    /// the opened file of a `trace`-workload point (see
+    /// [`crate::campaign::CampaignPoint::trace`]); a trace
+    /// point replays at most one pass over it per replication, so its
+    /// job budget is capped to the trace's length.
+    pub fn sim_config(&self, seed: u64, trace: Option<&Arc<TraceWorkload>>) -> SimConfig {
+        let (mut warmup, mut measured) = (self.warmup, self.measured);
         let workload = match self.workload {
             WorkloadName::Uniform => WorkloadSpec::Stochastic {
                 sides: SideDist::Uniform,
@@ -1035,15 +1096,31 @@ impl PointSettings {
                 load: self.load,
                 runtime_scale: self.runtime_scale,
             },
+            WorkloadName::Cm5 => WorkloadSpec::SyntheticCm5 {
+                model: Cm5Model::default(),
+                load: self.load,
+                runtime_scale: self.runtime_scale,
+            },
+            WorkloadName::Trace => {
+                // procsim-lint: allow(D004): invariant: expand opens the file of every trace point, and validate rejects a trace point without one
+                let trace = trace.expect("invariant: trace point without its opened file");
+                (warmup, measured) = trace.capped_budget(warmup, measured);
+                WorkloadSpec::Trace {
+                    trace: trace.clone(),
+                    load: self.load,
+                    runtime_scale: self.runtime_scale,
+                }
+            }
         };
         let mut cfg = SimConfig::paper(self.strategy, self.scheduler, workload, seed);
         cfg.mesh_w = self.mesh_w;
         cfg.mesh_l = self.mesh_l;
         cfg.ts = self.ts;
         cfg.plen = self.plen;
+        cfg.pattern = self.pattern;
         cfg.topology = self.topology;
-        cfg.warmup_jobs = self.warmup;
-        cfg.measured_jobs = self.measured;
+        cfg.warmup_jobs = warmup;
+        cfg.measured_jobs = measured;
         cfg
     }
 }
@@ -1057,31 +1134,5 @@ fn nonzero<T: PartialEq + From<u8> + core::fmt::Display>(
         Err(ScenarioError::new(line, place, "must be non-zero"))
     } else {
         Ok(v)
-    }
-}
-
-/// The scenario-file spelling of a strategy (inverse of its `FromStr`).
-pub fn cli_strategy_name(s: StrategyKind) -> String {
-    match s {
-        StrategyKind::Gabl => "gabl".into(),
-        StrategyKind::Paging { size_index, .. } => format!("paging{size_index}"),
-        StrategyKind::Mbs => "mbs".into(),
-        StrategyKind::FirstFit => "ff".into(),
-        StrategyKind::BestFit => "bf".into(),
-        StrategyKind::Random => "random".into(),
-        StrategyKind::Mc => "mc".into(),
-    }
-}
-
-/// The scenario-file spelling of a scheduler (inverse of its `FromStr`
-/// for the named policies; window policies render with their width).
-pub fn cli_scheduler_name(s: SchedulerKind) -> String {
-    match s {
-        SchedulerKind::Fcfs => "fcfs".into(),
-        SchedulerKind::Ssd => "ssd".into(),
-        SchedulerKind::SjfArea => "sjf".into(),
-        SchedulerKind::LjfArea => "ljf".into(),
-        SchedulerKind::FcfsWindow(w) => format!("fcfs-window{w}"),
-        SchedulerKind::EasyBackfill => "easy".into(),
     }
 }

@@ -9,7 +9,7 @@ use mesh_sched::{QueuedJob, RunningJob, Scheduler};
 use simstats::{TimeWeighted, Welford};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use workload::{trace_to_jobs, JobSpec, StochasticGen};
+use workload::{trace_to_jobs, Cm5Model, JobSpec, ParagonModel, StochasticGen};
 use wormnet::{pattern_messages, Network, Topology, TopologyKind};
 
 /// Job-level events.
@@ -54,34 +54,17 @@ struct JobState {
     pkts: u64,
 }
 
-/// Builds the trace source for replication `rep`: each replication
-/// starts `needed` jobs further into the (wrapping) stream so
-/// replications see disjoint segments. When the trace is too short for
-/// that — `needed` a multiple of its length would leave every
-/// replication at offset 0, replaying identical segments — the stride
-/// degrades to rotating the stream one job per replication, which keeps
-/// replications distinct (the queueing transient differs) even though
-/// their job populations overlap.
-fn trace_source(jobs: Arc<Vec<JobSpec>>, rep: u64, needed: usize) -> Source {
-    let len = jobs.len();
-    let (pos, _) = segment_start(len, rep, needed);
-    let base = jobs[pos].arrive;
-    Source::Fixed {
-        jobs,
-        pos,
-        base,
-        shift: 0,
-        remaining: len,
-    }
-}
-
-/// The per-replication segment offset shared by the materialized
-/// ([`Source::Fixed`]) and streaming ([`Source::Stream`]) replay paths:
-/// `(start index, stride)` for replication `rep` of a `len`-record trace
-/// when a run consumes `needed` jobs.
-fn segment_start(len: usize, rep: u64, needed: usize) -> (usize, usize) {
+/// The per-replication segment start of a `len`-record trace when a run
+/// consumes `needed` jobs: each replication starts `needed` jobs further
+/// into the (wrapping) stream so replications see disjoint segments.
+/// When the trace is too short for that — `needed` a multiple of its
+/// length would leave every replication at offset 0, replaying identical
+/// segments — the stride degrades to rotating the stream one job per
+/// replication, which keeps replications distinct (the queueing
+/// transient differs) even though their job populations overlap.
+fn segment_start(len: usize, rep: u64, needed: usize) -> usize {
     let stride = (needed % len).max(1);
-    ((rep as usize).wrapping_mul(stride) % len, stride)
+    (rep as usize).wrapping_mul(stride) % len
 }
 
 /// Where the next arrival comes from.
@@ -91,45 +74,118 @@ enum Source {
         clock: Time,
         next_id: u64,
     },
-    /// A materialized, pre-scaled job list (`FixedTrace` /
-    /// `SyntheticTrace`). Also the retained equivalence oracle for
-    /// [`Source::Stream`]: both replay segments with identical
-    /// rebase/wrap arithmetic, and
-    /// `crates/core/tests/streaming_trace.rs` pins the two paths to
-    /// bit-identical metrics.
-    Fixed {
-        jobs: Arc<Vec<JobSpec>>,
-        pos: usize,
-        /// Arrival-time rebase so the segment starts at 0 (subtracted).
-        base: Time,
-        /// Accumulated offset added after a wrap-around, so the wrapped
-        /// prefix continues seamlessly after the tail with its original
-        /// inter-arrival gaps instead of flooding in at the current
-        /// clock.
-        shift: Time,
-        /// Wrap-around segment end (exclusive index distance).
-        remaining: usize,
-    },
+    /// Segment replay of a trace (`FixedTrace`, the synthetic traces,
+    /// and streaming `Trace`).
+    Trace(TraceReplay),
+}
+
+/// The job stream a [`TraceReplay`] draws from: endless (it wraps), and
+/// every job's `id` is its record index.
+enum TraceJobs {
+    /// A materialized, pre-scaled job list (`FixedTrace` and the
+    /// synthetic traces). Also the retained equivalence oracle for
+    /// [`TraceJobs::Stream`]: `crates/core/tests/streaming_trace.rs` pins
+    /// the two to bit-identical metrics.
+    Fixed { jobs: Arc<Vec<JobSpec>>, pos: usize },
     /// Streaming replay of a [`workload::TraceWorkload`]
     /// (`WorkloadSpec::Trace`): records are parsed and scaled lazily,
     /// one per arrival, so memory holds only the cursor and the live
-    /// jobs — never the trace. The cursor's job ids are the record
-    /// indexes, which is what makes lazy rebasing possible.
-    Stream {
-        jobs: workload::ScaledJobs,
-        /// Record index of the last record (wrap detection: the cursor
-        /// itself is endless).
-        last_id: u64,
-        /// Arrival-time rebase, captured lazily from the first job the
-        /// cursor yields (equivalently to [`Source::Fixed`]'s eager
-        /// `jobs[pos].arrive`: the first yielded job *is* record `pos`,
-        /// and after a wrap it is record 0).
-        base: Option<Time>,
-        /// Accumulated post-wrap offset, as in [`Source::Fixed`].
-        shift: Time,
-        /// Wrap-around segment end (exclusive index distance).
-        remaining: usize,
-    },
+    /// jobs — never the trace.
+    Stream(workload::ScaledJobs),
+}
+
+impl TraceJobs {
+    fn next(&mut self) -> Option<JobSpec> {
+        match self {
+            TraceJobs::Fixed { jobs, pos } => {
+                let mut job = jobs[*pos];
+                job.id = *pos as u64;
+                *pos = (*pos + 1) % jobs.len();
+                Some(job)
+            }
+            TraceJobs::Stream(jobs) => jobs.next(),
+        }
+    }
+}
+
+/// One replication's pass over a trace: at most one full wrap of the
+/// stream, with arrivals rebased so the segment starts at time 0.
+struct TraceReplay {
+    jobs: TraceJobs,
+    /// Record index of the last record (wrap detection: the stream
+    /// itself is endless).
+    last_id: u64,
+    /// Arrival-time rebase (subtracted), captured from the first job the
+    /// stream yields at the start of the segment and after each wrap.
+    base: Option<Time>,
+    /// Accumulated offset added after a wrap-around, so the wrapped
+    /// prefix continues seamlessly after the tail with its original
+    /// inter-arrival gaps instead of flooding in at the current clock.
+    shift: Time,
+    /// Jobs left in this replication's pass.
+    remaining: usize,
+}
+
+impl TraceReplay {
+    fn new(jobs: TraceJobs, len: usize, base: Option<Time>) -> Self {
+        TraceReplay {
+            jobs,
+            last_id: (len - 1) as u64,
+            base,
+            shift: 0,
+            remaining: len,
+        }
+    }
+
+    /// The next job of the segment, arriving no earlier than `now`.
+    fn next(&mut self, now: Time) -> Option<JobSpec> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let mut job = self.jobs.next()?;
+        // rebase the segment to start at 0 (saturating: guards against
+        // an unsorted stream)
+        let b = *self.base.get_or_insert(job.arrive);
+        let rebased = job.arrive.saturating_sub(b) + self.shift;
+        if job.id == self.last_id {
+            // wrap-around next: the prefix continues right after the
+            // tail, preserving its original inter-arrival gaps (rebased
+            // to the tail time, not the current clock, so no burst of
+            // "past" arrivals floods the queue)
+            self.base = None;
+            self.shift = rebased + 1;
+        }
+        job.arrive = now.max(rebased);
+        Some(job)
+    }
+}
+
+/// A fresh synthetic-trace draw for one replication: `generate(n)` draws
+/// `n` records, only as many as a run can consume (plus slack for queue
+/// growth) out of the model's `model_jobs`, scaled to `load` jobs per
+/// time unit.
+fn synthetic_source(
+    cfg: &SimConfig,
+    model_jobs: usize,
+    mean_interarrival_s: f64,
+    load: f64,
+    runtime_scale: f64,
+    generate: impl FnOnce(usize) -> Vec<workload::TraceRecord>,
+) -> Source {
+    let needed = cfg.warmup_jobs + cfg.measured_jobs;
+    let records = generate((needed * 3 / 2 + 100).min(model_jobs.max(needed + 50)));
+    let f = workload::paragon::factor_for_load(mean_interarrival_s, load);
+    let jobs = trace_to_jobs(&records, cfg.mesh_w, cfg.mesh_l, f, runtime_scale);
+    let len = jobs.len();
+    Source::Trace(TraceReplay::new(
+        TraceJobs::Fixed {
+            jobs: Arc::new(jobs),
+            pos: 0,
+        },
+        len,
+        Some(0),
+    ))
 }
 
 /// One simulation replication. Create with [`Simulator::new`], consume
@@ -263,26 +319,34 @@ impl Simulator {
                 model,
                 load,
                 runtime_scale,
-            } => {
-                // fresh trace draw per replication; generate only as many
-                // jobs as a run can consume (plus slack for queue growth)
-                let mut m = model.clone();
-                m.jobs = (needed * 3 / 2 + 100).min(m.jobs.max(needed + 50));
-                let records = m.generate(&mut wl_rng.substream(99));
-                let f = workload::paragon::factor_for_load(m.mean_interarrival_s, *load);
-                let jobs = trace_to_jobs(&records, cfg.mesh_w, cfg.mesh_l, f, *runtime_scale);
-                let remaining = jobs.len();
-                Source::Fixed {
-                    jobs: Arc::new(jobs),
-                    pos: 0,
-                    base: 0,
-                    shift: 0,
-                    remaining,
-                }
-            }
+            } => synthetic_source(
+                cfg,
+                model.jobs,
+                model.mean_interarrival_s,
+                *load,
+                *runtime_scale,
+                |jobs| ParagonModel { jobs, ..model.clone() }.generate(&mut wl_rng.substream(99)),
+            ),
+            WorkloadSpec::SyntheticCm5 {
+                model,
+                load,
+                runtime_scale,
+            } => synthetic_source(
+                cfg,
+                model.jobs,
+                model.mean_interarrival_s,
+                *load,
+                *runtime_scale,
+                |jobs| Cm5Model { jobs, ..model.clone() }.generate(&mut wl_rng.substream(99)),
+            ),
             WorkloadSpec::FixedTrace(jobs) => {
                 assert!(!jobs.is_empty(), "empty fixed trace");
-                trace_source(jobs.clone(), rep, needed)
+                let pos = segment_start(jobs.len(), rep, needed);
+                let fixed = TraceJobs::Fixed {
+                    jobs: jobs.clone(),
+                    pos,
+                };
+                Source::Trace(TraceReplay::new(fixed, jobs.len(), None))
             }
             WorkloadSpec::Trace {
                 trace,
@@ -295,14 +359,9 @@ impl Simulator {
                 // replications of the same (trace, mesh, rho) share only
                 // the trace source (no per-point cache to double-fill)
                 let len = trace.len();
-                let (pos, _) = segment_start(len, rep, needed);
-                Source::Stream {
-                    jobs: trace.stream_jobs(cfg.mesh_w, cfg.mesh_l, *load, *runtime_scale, pos),
-                    last_id: (len - 1) as u64,
-                    base: None,
-                    shift: 0,
-                    remaining: len,
-                }
+                let pos = segment_start(len, rep, needed);
+                let stream = trace.stream_jobs(cfg.mesh_w, cfg.mesh_l, *load, *runtime_scale, pos);
+                Source::Trace(TraceReplay::new(TraceJobs::Stream(stream), len, None))
             }
         };
 
@@ -352,63 +411,10 @@ impl Simulator {
                 *next_id += 1;
                 self.events.schedule(job.arrive.max(self.now), Ev::Arrival(job));
             }
-            Source::Fixed {
-                jobs,
-                pos,
-                base,
-                shift,
-                remaining,
-            } => {
-                if *remaining == 0 {
-                    return;
+            Source::Trace(replay) => {
+                if let Some(job) = replay.next(self.now) {
+                    self.events.schedule(job.arrive.max(self.now), Ev::Arrival(job));
                 }
-                *remaining -= 1;
-                let mut job = jobs[*pos];
-                // rebase the segment to start at 0 (saturating: guards
-                // against an unsorted stream)
-                let rebased = jobs[*pos].arrive.saturating_sub(*base) + *shift;
-                job.arrive = self.now.max(rebased);
-                job.id = (*pos) as u64; // unique within segment
-                *pos += 1;
-                if *pos == jobs.len() {
-                    // wrap-around: the prefix continues right after the
-                    // tail, preserving its original inter-arrival gaps
-                    // (rebasing to the tail time, not the current clock,
-                    // so no burst of "past" arrivals floods the queue)
-                    *pos = 0;
-                    *base = jobs[0].arrive;
-                    *shift = rebased + 1;
-                }
-                self.events.schedule(job.arrive.max(self.now), Ev::Arrival(job));
-            }
-            Source::Stream {
-                jobs,
-                last_id,
-                base,
-                shift,
-                remaining,
-            } => {
-                if *remaining == 0 {
-                    return;
-                }
-                *remaining -= 1;
-                let Some(mut job) = jobs.next() else {
-                    return; // unreachable: the cursor is endless
-                };
-                // same rebase/wrap arithmetic as Source::Fixed, with the
-                // base captured lazily: the first job yielded after
-                // construction (or after a wrap) is exactly the record
-                // Fixed would have read its base from
-                let b = *base.get_or_insert(job.arrive);
-                let rebased = job.arrive.saturating_sub(b) + *shift;
-                if job.id == *last_id {
-                    // wrap-around next: the prefix continues right after
-                    // the tail with its original inter-arrival gaps
-                    *base = None;
-                    *shift = rebased + 1;
-                }
-                job.arrive = self.now.max(rebased);
-                self.events.schedule(job.arrive.max(self.now), Ev::Arrival(job));
             }
         }
     }

@@ -87,8 +87,9 @@ fn stop_reason_unchanged_under_parallel_execution() {
 
 #[test]
 fn batch_of_points_matches_sequential_at_any_thread_count() {
-    // A miniature figure: 3 strategies × 2 loads, one derived seed per
-    // point exactly as run_figure derives them.
+    // A miniature campaign: 2 strategies × 2 loads, one derived seed per
+    // point exactly as campaign expansion derives them (the default seed
+    // slot is the expansion index).
     let figure_seed = 0xF16;
     let cfgs: Vec<SimConfig> = [StrategyKind::Gabl, StrategyKind::Mbs]
         .into_iter()

@@ -111,6 +111,10 @@ fn matrix_knob_errors() {
     assert_err(&with("scheduler = [\"lifo\"]"), 7, "matrix.scheduler", "unknown scheduler");
     assert_err(&with("topology = [\"hypercube\"]"), 7, "matrix.topology", "");
     assert_err(&with("workload = [\"netflix\"]"), 7, "matrix.workload", "unknown workload");
+    assert_err(&with("pattern = [\"gossip\"]"), 7, "matrix.pattern", "unknown pattern");
+    assert_err(&with("trace = [\"\"]"), 7, "matrix.trace", "non-empty");
+    assert_err(&with("strategy = [\"paging0-zigzag\"]"), 7, "matrix.strategy", "unknown paging variant");
+    assert_err(&with("scheduler = [\"fcfs-window0\"]"), 7, "matrix.scheduler", "unknown scheduler");
     assert_err(&with("mesh_w = [0]"), 7, "matrix.mesh_w", "non-zero");
     assert_err(&with("mesh_w = [-3]"), 7, "matrix.mesh_w", "out of range");
     assert_err(&with("mesh_w = [70000]"), 7, "matrix.mesh_w", "out of range");
@@ -274,6 +278,106 @@ fn expand_rejects_contradictory_reps() {
     assert!(e.msg.contains("max_reps"), "{e}");
 }
 
+#[test]
+fn cache_keys_of_existing_points_are_unchanged() {
+    // recorded from fig09.toml before the pattern knob and paging
+    // indexing entered the spec string: every all-to-all, row-major
+    // point must keep its key, so warm caches stay warm
+    let s = Scenario::parse(include_str!("../../../scenarios/fig09.toml")).unwrap();
+    let hashes: Vec<String> = expand(&s).unwrap().into_iter().map(|p| p.hash).collect();
+    assert_eq!(
+        hashes,
+        [
+            "bc9e9b4f0d89e855",
+            "5b1690b676f12c32",
+            "903159ece8ac33c1",
+            "0087b12ad1616355",
+            "fb9ea57466d96aae",
+            "1a06d11d4657bc76",
+        ]
+    );
+}
+
+#[test]
+fn new_spellings_reach_the_sim_config() {
+    use procsim_core::{PageIndexing, Pattern, SchedulerKind, StrategyKind, WorkloadSpec};
+    let s = Scenario::parse(
+        "[campaign]\nname = \"spell\"\nseed = 1\n\
+         [defaults]\npattern = \"ring\"\nscheduler = \"fcfs-window4\"\nworkload = \"cm5\"\n\
+         [matrix]\nstrategy = [\"paging1-snake\"]\n",
+    )
+    .unwrap();
+    let points = expand(&s).unwrap();
+    let cfg = points[0].sim_config();
+    assert_eq!(cfg.pattern, Pattern::Ring);
+    assert_eq!(cfg.scheduler, SchedulerKind::FcfsWindow(4));
+    assert_eq!(
+        cfg.strategy,
+        StrategyKind::Paging {
+            size_index: 1,
+            indexing: PageIndexing::SnakeLike
+        }
+    );
+    assert!(matches!(cfg.workload, WorkloadSpec::SyntheticCm5 { .. }));
+    assert!(points[0].spec.contains("|pattern=ring|"), "{}", points[0].spec);
+    assert!(points[0].spec.contains("Paging(1,snake)"), "{}", points[0].spec);
+}
+
+/// A scenario replaying `path` at offered load 0.7.
+fn trace_scenario(path: &std::path::Path) -> Scenario {
+    Scenario::parse(&format!(
+        "[campaign]\nname = \"tr\"\nseed = 1\n\
+         [defaults]\nworkload = \"trace\"\ntrace = {:?}\nwarmup = 200\nmeasured = 1000\n\
+         [matrix]\nload = [0.7]\n",
+        path.display().to_string()
+    ))
+    .unwrap()
+}
+
+#[test]
+fn trace_points_replay_at_offered_load_and_key_on_content() {
+    use procsim_core::WorkloadSpec;
+    let dir = std::env::temp_dir().join(format!("procsim_scenario_trace_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("sample.swf");
+    let sample = include_str!("../../../results/traces/sdsc_sample.swf");
+    std::fs::write(&path, sample).unwrap();
+
+    let point = expand(&trace_scenario(&path)).unwrap().remove(0);
+    let cfg = point.sim_config();
+    match &cfg.workload {
+        WorkloadSpec::Trace { trace, load, .. } => {
+            assert_eq!(trace.len(), 600);
+            assert_eq!(*load, 0.7, "load is the offered load, as for procsim trace");
+        }
+        other => panic!("expected a trace workload, got {other:?}"),
+    }
+    // one pass over the 600-job sample caps the 200 + 1000 budget
+    assert_eq!((cfg.warmup_jobs, cfg.measured_jobs), (120, 480));
+    assert!(point.spec.contains("workload=trace(jobs=600,"), "{}", point.spec);
+
+    // an edited file re-keys the point instead of serving a stale result
+    let last_job = sample.trim_end().rfind('\n').unwrap();
+    std::fs::write(&path, &sample[..last_job]).unwrap();
+    let edited = expand(&trace_scenario(&path)).unwrap().remove(0);
+    assert_ne!(edited.hash, point.hash);
+
+    // a missing or malformed file is a structured scenario error
+    std::fs::write(&path, "1 2 3\n").unwrap();
+    let e = expand(&trace_scenario(&path)).unwrap_err();
+    assert_eq!(e.place, "trace", "{e}");
+    std::fs::remove_dir_all(&dir).unwrap();
+    let e = expand(&trace_scenario(&path)).unwrap_err();
+    assert!(e.msg.contains("cannot replay"), "{e}");
+
+    // and a trace workload without a file is refused
+    let s = Scenario::parse(
+        "[campaign]\nname = \"t\"\nseed = 1\n[defaults]\nworkload = \"trace\"\n[matrix]\nload = [0.7]\n",
+    )
+    .unwrap();
+    assert!(expand(&s).unwrap_err().msg.contains("`trace` knob"));
+}
+
 // ---------------------------------------------------------------------------
 // canonical-render round trip (property)
 // ---------------------------------------------------------------------------
@@ -291,19 +395,52 @@ fn arb_floats() -> impl Strategy<Value = Vec<Value>> {
     })
 }
 
-/// A non-empty subset of the strategy spellings (bitmask => no dups).
-fn arb_strategy_axis() -> impl Strategy<Value = Vec<Value>> {
-    const NAMES: [&str; 8] = [
-        "gabl", "paging0", "paging2", "mbs", "ff", "bf", "random", "mc",
-    ];
-    (1u16..256).prop_map(|mask| {
-        NAMES
+/// A non-empty subset of `names` (bitmask => no dups).
+fn arb_subset(names: &'static [&'static str]) -> impl Strategy<Value = Vec<Value>> {
+    (1u32..(1 << names.len())).prop_map(move |mask| {
+        names
             .iter()
             .enumerate()
             .filter(|(i, _)| mask & (1 << i) != 0)
             .map(|(_, s)| Value::Str((*s).into()))
             .collect()
     })
+}
+
+/// A non-empty subset of the strategy spellings, paging indexing
+/// variants included.
+fn arb_strategy_axis() -> impl Strategy<Value = Vec<Value>> {
+    arb_subset(&[
+        "gabl",
+        "paging0",
+        "paging0-snake",
+        "paging0-shuffled",
+        "paging2",
+        "paging3-shuffled-snake",
+        "mbs",
+        "ff",
+        "bf",
+        "random",
+        "mc",
+    ])
+}
+
+/// A non-empty subset of the scheduler spellings, with window
+/// schedulers of random width.
+fn arb_scheduler_axis() -> impl Strategy<Value = Vec<Value>> {
+    (arb_subset(&["fcfs", "ssd", "sjf", "ljf", "easy"]), 0u32..3, 1u32..64).prop_map(
+        |(mut names, windows, width)| {
+            for w in 0..windows {
+                names.push(Value::Str(format!("fcfs-window{}", width + w)));
+            }
+            names
+        },
+    )
+}
+
+/// A non-empty subset of the communication-pattern spellings.
+fn arb_pattern_axis() -> impl Strategy<Value = Vec<Value>> {
+    arb_subset(&["all-to-all", "one-to-all", "ring", "random-pairs", "near-neighbour"])
 }
 
 fn arb_scenario() -> impl Strategy<Value = Scenario> {
@@ -319,17 +456,19 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
             ],
         ),
         (
-            // matrix: always a load axis; optional strategy/scheduler/topology
+            // matrix: always a load axis; optional strategy / scheduler /
+            // topology / pattern axes
             arb_floats(),
             prop_oneof![Just(None), arb_strategy_axis().prop_map(Some)],
+            prop_oneof![Just(None), arb_scheduler_axis().prop_map(Some)],
             any::<bool>(),
-            any::<bool>(),
+            prop_oneof![Just(None), arb_pattern_axis().prop_map(Some)],
         ),
         // seed axes bitmask, override toggle, output toggles
-        (0u8..8, any::<bool>(), any::<bool>(), any::<bool>()),
+        (0u8..32, any::<bool>(), any::<bool>(), any::<bool>()),
     )
         .prop_map(
-            |((name, seed, warmup, num_mes), (loads, strategies, scheds, topos), knobs)| {
+            |((name, seed, warmup, num_mes), (loads, strategies, scheds, topos, patterns), knobs)| {
                 let (seed_mask, with_override, with_columns, with_csv) = knobs;
                 let mut defaults: Vec<(String, Value)> =
                     vec![("warmup".into(), Value::Int(warmup as i64))];
@@ -340,17 +479,17 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
                 if let Some(vs) = strategies {
                     matrix.push(("strategy".into(), vs));
                 }
-                if scheds {
-                    matrix.push((
-                        "scheduler".into(),
-                        vec![Value::Str("fcfs".into()), Value::Str("ssd".into())],
-                    ));
+                if let Some(vs) = scheds {
+                    matrix.push(("scheduler".into(), vs));
                 }
                 if topos {
                     matrix.push((
                         "topology".into(),
                         vec![Value::Str("mesh".into()), Value::Str("torus".into())],
                     ));
+                }
+                if let Some(vs) = patterns {
+                    matrix.push(("pattern".into(), vs));
                 }
                 let seed_axes = if seed_mask == 0 {
                     None
@@ -422,7 +561,10 @@ proptest! {
         let points = expand(&s).unwrap();
         prop_assert_eq!(points.len(), want);
         // hashes are unique across the expansion: every point caches
-        // under its own key (seed or knobs must differ somewhere)
+        // under its own key (seed or knobs must differ somewhere). Axes
+        // left out of the seed slot share seeds, so points that differ
+        // only in such an axis — pattern, or paging indexing within the
+        // strategy axis — must still hash apart on their knobs.
         let mut hashes: Vec<&str> = points.iter().map(|p| p.hash.as_str()).collect();
         hashes.sort_unstable();
         hashes.dedup();

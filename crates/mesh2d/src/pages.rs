@@ -5,7 +5,7 @@
 //! index order. Four indexing schemes are defined: row-major, shuffled
 //! row-major, snake-like, and shuffled snake-like. The paper's experiments
 //! use row-major only (the choice "has only a slight impact"); we implement
-//! all four and probe that claim in an ablation bench.
+//! all four and probe that claim in `scenarios/ablation_paging_index.toml`.
 //!
 //! When the mesh dimensions are not multiples of the page side, boundary
 //! pages are clipped to the mesh: they simply contain fewer processors.

@@ -9,7 +9,7 @@
 //!   *processor service demand* is considered first; adopted "because it
 //!   is expected to reduce performance loss due to FCFS blocking".
 //!
-//! Additional strategies beyond the paper, used by ablation benches:
+//! Additional strategies beyond the paper, used by the ablation scenarios:
 //! SJF/LJF by requested area, and a bounded look-ahead window variant of
 //! FCFS (a reservation-free form of backfilling).
 //!
@@ -136,6 +136,18 @@ impl SchedulerKind {
     /// The paper's two policies.
     pub const PAPER: [SchedulerKind; 2] = [SchedulerKind::Fcfs, SchedulerKind::Ssd];
 
+    /// The CLI / scenario-file spelling (the inverse of `FromStr`).
+    pub fn spelling(&self) -> String {
+        match *self {
+            SchedulerKind::Fcfs => "fcfs".into(),
+            SchedulerKind::Ssd => "ssd".into(),
+            SchedulerKind::SjfArea => "sjf".into(),
+            SchedulerKind::LjfArea => "ljf".into(),
+            SchedulerKind::FcfsWindow(w) => format!("fcfs-window{w}"),
+            SchedulerKind::EasyBackfill => "easy".into(),
+        }
+    }
+
     /// Instantiates the policy.
     pub fn build(&self) -> Box<dyn Scheduler> {
         match *self {
@@ -157,8 +169,8 @@ impl core::str::FromStr for SchedulerKind {
     type Err = String;
 
     /// Parses the CLI / scenario-file spelling: `fcfs`, `ssd`, `sjf`,
-    /// `ljf`, `easy` (case-insensitive; window policies are
-    /// programmatic-only).
+    /// `ljf`, `easy`, `fcfs-window<N>` for a window of `N >= 1` jobs
+    /// (case-insensitive).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "fcfs" => Ok(SchedulerKind::Fcfs),
@@ -166,9 +178,12 @@ impl core::str::FromStr for SchedulerKind {
             "sjf" => Ok(SchedulerKind::SjfArea),
             "ljf" => Ok(SchedulerKind::LjfArea),
             "easy" => Ok(SchedulerKind::EasyBackfill),
-            other => Err(format!(
-                "unknown scheduler '{other}' (fcfs, ssd, sjf, ljf, easy)"
-            )),
+            other => match other.strip_prefix("fcfs-window").map(str::parse::<usize>) {
+                Some(Ok(w)) if w >= 1 => Ok(SchedulerKind::FcfsWindow(w)),
+                _ => Err(format!(
+                    "unknown scheduler '{other}' (fcfs, ssd, sjf, ljf, easy, fcfs-window<N>)"
+                )),
+            },
         }
     }
 }

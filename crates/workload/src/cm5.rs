@@ -12,7 +12,7 @@
 //! on the Paragon trace ("contiguous allocation is explicitly sought in
 //! MBS only for requests with sizes of the form 2^2n"), so a CM-5-style
 //! workload is the natural counterfactual: under it MBS's buddy blocks
-//! align perfectly with requests. The `futurework_cm5` bench runs the
+//! align perfectly with requests. `scenarios/futurework_cm5.toml` runs the
 //! comparison.
 
 use crate::TraceRecord;

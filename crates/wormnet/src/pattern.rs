@@ -3,7 +3,7 @@
 //! The paper's experiments use **all-to-all** exclusively ("it causes much
 //! message collision and is known as the weak point for non-contiguous
 //! allocation", §5); the other patterns here are the remaining ProcSimity
-//! patterns, used by the ablation benches to show how much the all-to-all
+//! patterns, used by the ablation scenarios to show how much the all-to-all
 //! choice matters.
 
 use desim::SimRng;
@@ -30,7 +30,7 @@ pub enum Pattern {
 }
 
 impl Pattern {
-    /// Every supported pattern, in the ablation benches' sweep order.
+    /// Every supported pattern, in the ablation sweep order.
     pub const ALL: [Pattern; 5] = [
         Pattern::AllToAll,
         Pattern::OneToAll,

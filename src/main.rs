@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! procsim run   [--strategy gabl|paging0|mbs|ff|bf|random|mc]
-//!               [--scheduler fcfs|ssd|sjf|ljf|easy]
+//!               [--scheduler fcfs|ssd|sjf|ljf|easy|fcfs-window<N>]
 //!               [--workload uniform|exponential|paragon|cm5]
 //!               [--topology mesh|torus]
 //!               [--load 0.0008] [--jobs 400] [--seed 42]
@@ -32,11 +32,11 @@
 //! results, only wall-clock time.
 
 use procsim::{
-    cached_count, derive_seed, expand, run_campaign, run_point, run_points, trace_to_jobs,
-    write_swf_to, CampaignOptions, Cm5Model, ParagonModel, PointResult, Scenario, SchedulerKind,
-    SideDist, SimConfig, SimRng, StopReason, StrategyKind, TopologyKind, TraceWorkload,
-    WorkloadSpec,
+    cached_count, derive_seed, expand, run_campaign, run_point, run_points, write_swf_to,
+    CampaignOptions, Cm5Model, ParagonModel, PointResult, PointSettings, Scenario, SchedulerKind,
+    SimConfig, SimRng, StopReason, StrategyKind, TopologyKind, TraceWorkload, WorkloadSpec,
 };
+use procsim_core::scenario::{Value, WorkloadName};
 use std::io::Write;
 use std::sync::Arc;
 
@@ -111,43 +111,35 @@ fn topology_of(a: &Args) -> TopologyKind {
     }
 }
 
-fn workload_of(name: &str, load: f64) -> WorkloadSpec {
-    match name {
-        "uniform" => WorkloadSpec::Stochastic {
-            sides: SideDist::Uniform,
-            load,
-            num_mes: 5.0,
-        },
-        "exponential" => WorkloadSpec::Stochastic {
-            sides: SideDist::Exponential,
-            load,
-            num_mes: 5.0,
-        },
-        "paragon" => WorkloadSpec::SyntheticTrace {
-            model: ParagonModel::default(),
-            load,
-            runtime_scale: 360.0,
-        },
-        "cm5" => {
-            let recs = Cm5Model::default().generate(&mut SimRng::new(7));
-            let f = procsim::factor_for_load(1186.7, load);
-            WorkloadSpec::FixedTrace(Arc::new(trace_to_jobs(&recs, 16, 22, f, 360.0)))
+/// The `run` / `sweep` point at `load` (the built-in default load when
+/// `None`): the CLI flags applied as scenario knobs onto the built-in
+/// defaults, so the CLI and scenario files share one vocabulary and one
+/// workload mapping.
+fn point_config(a: &Args, load: Option<&str>) -> SimConfig {
+    let mut settings = PointSettings::default();
+    let mut set = |key: &str, v: Value| {
+        settings
+            .apply(key, &v, 0, &format!("--{key}"))
+            .unwrap_or_else(|e| die(&format!("--{key}: {}", e.msg)))
+    };
+    for key in ["strategy", "scheduler", "workload"] {
+        if let Some(name) = a.map.get(key) {
+            set(key, Value::Str(name.clone()));
         }
-        other => die(&format!("unknown workload '{other}'")),
     }
-}
-
-fn config_from(a: &Args, load: f64) -> SimConfig {
-    let strategy = strategy_of(a.map.get("strategy").map(|s| s.as_str()).unwrap_or("gabl"));
-    let scheduler = scheduler_of(a.map.get("scheduler").map(|s| s.as_str()).unwrap_or("fcfs"));
-    let workload = workload_of(a.map.get("workload").map(|s| s.as_str()).unwrap_or("uniform"), load);
+    if let Some(load) = load {
+        let load = load.trim();
+        set("load", Value::Float(load.parse().unwrap_or_else(|_| die(&format!("bad load '{load}'")))));
+    }
+    let jobs: i64 = a.map.get("jobs").map(|s| s.parse().expect("bad --jobs")).unwrap_or(400);
+    set("measured", Value::Int(jobs));
+    set("warmup", Value::Int((jobs / 4).max(10)));
+    if settings.workload == WorkloadName::Trace {
+        die("--workload trace replays a file: use `procsim trace <file.swf>`");
+    }
+    settings.topology = topology_of(a);
     let seed: u64 = a.map.get("seed").map(|s| s.parse().expect("bad --seed")).unwrap_or(42);
-    let mut cfg = SimConfig::paper(strategy, scheduler, workload, seed);
-    cfg.topology = topology_of(a);
-    let jobs: usize = a.map.get("jobs").map(|s| s.parse().expect("bad --jobs")).unwrap_or(400);
-    cfg.measured_jobs = jobs;
-    cfg.warmup_jobs = (jobs / 4).max(10);
-    cfg
+    settings.sim_config(seed, None)
 }
 
 fn print_result(p: &procsim::PointResult) {
@@ -163,10 +155,6 @@ fn print_result(p: &procsim::PointResult) {
         p.blocking(),
         p.replications
     );
-}
-
-fn print_point(cfg: &SimConfig, reps: usize) {
-    print_result(&run_point(cfg, reps.max(2), reps.max(2) * 2));
 }
 
 /// Stable per-strategy substream index for [`derive_seed`] (FNV-1a over
@@ -504,24 +492,13 @@ fn main() {
 
     match cmd {
         "run" => {
-            let load: f64 = a
-                .map
-                .get("load")
-                .map(|s| s.parse().expect("bad --load"))
-                .unwrap_or(0.0008);
-            let cfg = config_from(&a, load);
-            print_point(&cfg, reps);
+            let cfg = point_config(&a, a.map.get("load").map(String::as_str));
+            print_result(&run_point(&cfg, reps.max(2), reps.max(2) * 2));
         }
         "sweep" => {
-            let loads: Vec<f64> = a
-                .map
-                .get("loads")
-                .expect("sweep needs --loads a,b,c")
-                .split(',')
-                .map(|s| s.trim().parse().expect("bad load value"))
-                .collect();
+            let loads = a.map.get("loads").unwrap_or_else(|| die("sweep needs --loads a,b,c"));
             // one batch: every load's replications share the worker pool
-            let cfgs: Vec<SimConfig> = loads.iter().map(|&l| config_from(&a, l)).collect();
+            let cfgs: Vec<SimConfig> = loads.split(',').map(|l| point_config(&a, Some(l))).collect();
             for p in run_points(&cfgs, reps.max(2), reps.max(2) * 2) {
                 print_result(&p);
             }
@@ -548,8 +525,9 @@ fn main() {
             println!("so interrupted or extended campaigns resume by rerunning only what's");
             println!("missing — output is byte-identical at any thread count.");
             println!();
-            println!("strategies: gabl paging0 paging1 mbs ff bf random mc");
-            println!("schedulers: fcfs ssd sjf ljf easy");
+            println!("strategies: gabl paging0..paging3 mbs ff bf random mc");
+            println!("            (paging<k>-shuffled, -snake, -shuffled-snake: page indexing)");
+            println!("schedulers: fcfs ssd sjf ljf easy fcfs-window<N>");
             println!("workloads:  uniform exponential paragon cm5");
             println!("topologies: mesh torus   (--torus = legacy alias; docs/TOPOLOGIES.md)");
             println!();

@@ -163,3 +163,36 @@ fn malformed_scenario_dies_with_line_numbered_error() {
     assert_eq!(r.code, Some(2));
     assert!(r.stderr.contains("cannot read"), "{}", r.stderr);
 }
+
+#[test]
+fn missing_trace_file_dies_with_scenario_error() {
+    let bad = tmp("bad_trace");
+    std::fs::write(
+        &bad,
+        "[campaign]\nname = \"bad\"\nseed = 1\n\n[defaults]\nworkload = \"trace\"\n\
+         trace = \"results/traces/does_not_exist.swf\"\n\n[matrix]\nload = [0.7]\n",
+    )
+    .unwrap();
+    let r = campaign(&[bad.to_str().unwrap(), "--dry-run"]);
+    assert!(!r.success, "a scenario replaying a missing trace must fail");
+    assert_eq!(r.code, Some(2), "usage errors exit 2");
+    assert!(r.stderr.contains("[trace]"), "{}", r.stderr);
+    assert!(r.stderr.contains("does_not_exist.swf"), "{}", r.stderr);
+    let _ = std::fs::remove_file(&bad);
+}
+
+#[test]
+fn every_checked_in_scenario_expands() {
+    // the ports of the former figure and ablation binaries are only ever
+    // dry-run in CI; a scenario that stops parsing or expanding fails here
+    let mut n = 0;
+    for entry in std::fs::read_dir("scenarios").expect("scenarios/ checked in") {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "toml") {
+            let r = campaign(&[path.to_str().unwrap(), "--dry-run", "--cache", "/nonexistent"]);
+            assert!(r.success, "{}: {}", path.display(), r.stderr);
+            n += 1;
+        }
+    }
+    assert!(n >= 17, "expected every figure and ablation scenario, found {n}");
+}
