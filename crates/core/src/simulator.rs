@@ -10,7 +10,7 @@ use simstats::{TimeWeighted, Welford};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use workload::{trace_to_jobs, Cm5Model, JobSpec, ParagonModel, StochasticGen};
-use wormnet::{pattern_messages, Network, Topology, TopologyKind};
+use wormnet::{pattern_messages, Completion, Network, Topology, TopologyKind};
 
 /// Job-level events.
 #[derive(Debug)]
@@ -229,6 +229,9 @@ pub struct Simulator {
     /// (filled via [`Scheduler::attempt_order_into`], never reallocated
     /// in steady state).
     attempt_buf: Vec<u64>,
+    /// Reused buffer for the packets delivered in one network cycle
+    /// (filled via [`Network::drain_completions_into`]).
+    completion_buf: Vec<Completion>,
     /// Cached running-set snapshot for reservation-aware schedulers,
     /// rebuilt only when a start or departure invalidated it.
     running_snapshot: Vec<RunningJob>,
@@ -390,6 +393,7 @@ impl Simulator {
             next_internal_id: 0,
             demand_time_factor: 1.0,
             attempt_buf: Vec::new(),
+            completion_buf: Vec::new(),
             running_snapshot: Vec::new(),
             snapshot_stale: false,
             failed_shapes: HashMap::new(),
@@ -698,12 +702,14 @@ impl Simulator {
 
     /// Collects delivered packets; departs jobs whose last packet landed.
     fn absorb_network_completions(&mut self) -> bool {
-        let completions = self.net.drain_completions();
+        let mut completions = std::mem::take(&mut self.completion_buf);
+        self.net.drain_completions_into(&mut completions);
         if completions.is_empty() {
+            self.completion_buf = completions;
             return false;
         }
         let mut done: Vec<u64> = Vec::new();
-        for c in completions {
+        for c in completions.drain(..) {
             let (job_id, rank) = decode_tag(c.tag);
             let js = self
                 .jobs
@@ -725,6 +731,7 @@ impl Simulator {
                 done.push(job_id);
             }
         }
+        self.completion_buf = completions;
         let any = !done.is_empty();
         for id in done {
             self.depart(id);

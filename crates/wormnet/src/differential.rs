@@ -232,22 +232,27 @@ fn drive_for(sel: u64, seed: u64) -> Drive {
 
 /// The acceptance battery: 100 seeds on the mesh plus 100 on the torus,
 /// spread across all three drive modes, each run checked snapshot-for-
-/// snapshot at every subject checkpoint.
+/// snapshot at every subject checkpoint — at four routing delays, since
+/// `ts` sets how routing-delay timers interleave with drainers and wakes
+/// in one cycle's activation list (`ts = 0` fires a header's timer on
+/// the very next cycle).
 #[test]
 fn battery_200_seeds_mesh_and_torus() {
-    for torus in [false, true] {
-        for seed in 0..100u64 {
-            let mk = move || {
-                if torus {
-                    Topology::new_torus(6, 6)
-                } else {
-                    Topology::new(6, 6)
-                }
-            };
-            let script = churn_script(&mk(), seed * 2 + torus as u64, 5);
-            let drive = drive_for(seed, seed);
-            let label = format!("battery torus={torus} seed={seed} drive={drive:?}");
-            DualEngine::new(mk, 3, script, label).run(drive);
+    for ts in [0u32, 1, 3, 7] {
+        for torus in [false, true] {
+            for seed in 0..100u64 {
+                let mk = move || {
+                    if torus {
+                        Topology::new_torus(6, 6)
+                    } else {
+                        Topology::new(6, 6)
+                    }
+                };
+                let script = churn_script(&mk(), seed * 2 + torus as u64, 5);
+                let drive = drive_for(seed, seed);
+                let label = format!("battery ts={ts} torus={torus} seed={seed} drive={drive:?}");
+                DualEngine::new(mk, ts, script, label).run(drive);
+            }
         }
     }
 }
@@ -408,4 +413,52 @@ fn parked_senders_do_not_block_compression() {
     assert_eq!(n.skippable_cycles(), 0);
     n.run_until_idle(1);
     assert_eq!(n.counters().delivered, 3);
+}
+
+/// A wake that lands *between* two already-sorted actors. At cycle 15
+/// (`rr` 0, active order [P0, P2, P1], so keys 0, 1, 2) P0's tail frees
+/// the west link out of (4,4). P2 has been waiting on that link, and its
+/// key 1 is above P0's, so it wakes into this same cycle. P1's
+/// routing-delay timer also fires this cycle, for the same link, with
+/// key 2. The engine must run P2 before P1 (the reference's scan
+/// order), so P2 takes the link and P1 blocks. Running the mid-cycle
+/// wakes only after the whole sorted list would hand the link to P1.
+#[test]
+fn mid_cycle_wake_between_sorted_actors_acts_in_key_order() {
+    let ts = 1u32;
+    // slots follow send order: P0 = 0, P1 = 1, P2 = 2
+    let script: Script = vec![
+        (6, Coord::new(4, 4), Coord::new(1, 1), 3, 0), // P0, westward
+        (7, Coord::new(4, 4), Coord::new(3, 5), 5, 1), // P1, queued behind P0
+        (7, Coord::new(5, 4), Coord::new(3, 4), 1, 2), // P2, waits on P0
+    ];
+    let topo = Topology::new(6, 6);
+    let west = topo.link(Coord::new(4, 4), crate::topology::Direction::West).index();
+    let mut subject = Network::with_topology(topo, ts);
+    let mut sent = 0;
+    for t in 0..15 {
+        while sent < script.len() && script[sent].0 == t {
+            let (_, s, d, f, tag) = script[sent];
+            subject.send(s, d, f, tag, t);
+            sent += 1;
+        }
+        subject.step(t + 1);
+        if t + 1 == 14 {
+            let snap = subject.arb_snapshot();
+            assert_eq!(snap.active, vec![0, 2, 1]);
+            assert_eq!(snap.owner[west], 0, "P0 still holds the link before cycle 15");
+        }
+    }
+    let snap = subject.arb_snapshot();
+    assert_eq!(snap.rr, 0);
+    assert_eq!(snap.owner[west], 2, "the woken P2 must win the link over P1");
+
+    for drive in [Drive::Stepped, Drive::Compressed, Drive::Mixed(5)] {
+        let label = format!("wake between sorted actors drive={drive:?}");
+        let done = DualEngine::new(|| Topology::new(6, 6), ts, script.clone(), label).run(drive);
+        let p2 = done.iter().find(|c| c.tag == 2).expect("P2 delivered");
+        let p1 = done.iter().find(|c| c.tag == 1).expect("P1 delivered");
+        assert_eq!((p2.delivered_at, p2.blocked), (18, 3));
+        assert_eq!((p1.delivered_at, p1.blocked), (27, 3));
+    }
 }

@@ -70,5 +70,5 @@ pub mod topology;
 pub use network::{Completion, Network};
 pub use packet::{PacketId, PacketState};
 pub use pattern::{pattern_messages, Pattern};
-pub use routing::{route, xy_route};
+pub use routing::{route, route_into, xy_route};
 pub use topology::{ChannelId, Direction, Topology, TopologyKind};

@@ -11,8 +11,11 @@
 //! that can progress:
 //!
 //! * **Draining** worms (streaming into the destination) act every cycle.
-//! * Headers in per-node **routing delay** are scheduled on a timer heap
-//!   and are untouched until their acquisition cycle.
+//! * Headers in per-node **routing delay** wait in a FIFO of timers and
+//!   are untouched until their acquisition cycle. Every timer is armed
+//!   at `stamp + ts + 1` with a fixed `ts` and a stamp that never
+//!   decreases, so timers are armed in due order and the FIFO's front
+//!   is always the earliest due.
 //! * **Blocked** headers sit in the waiter list of the channel they need
 //!   and are woken when it is released; the cycles they would have spent
 //!   re-attempting are accrued lazily from a timestamp, which is exactly
@@ -27,12 +30,14 @@
 //!   nodes are visited by the injection phase. Injection channels are
 //!   per-node exclusive, so each channel has at most one parked sender.
 //!
-//! Arbitration fairness is preserved exactly: eligible packets are
-//! processed in the same rotating order over the active list as the
-//! reference engine, and a channel freed mid-cycle wakes its waiters into
-//! the *same* cycle if and only if their arbitration position comes later
-//! — byte-identical outcomes, verified by the equivalence property tests
-//! at the bottom of this file.
+//! Arbitration fairness is preserved exactly. Each cycle gathers its
+//! actors (drainers, due timers, wakes, eager packets) into one
+//! activation list keyed by their place in the reference engine's
+//! rotating scan, sorts it once, and walks it in that order. A channel
+//! freed mid-cycle wakes its waiters into the *same* cycle if and only
+//! if their key comes later; those few wakes sit in a small heap whose
+//! head is merged into the walk. The outcomes are byte-identical,
+//! checked cycle by cycle against the reference in `differential.rs`.
 //!
 //! # Event compression
 //!
@@ -48,8 +53,8 @@
 //! this preserves cycle-accurate semantics.
 
 use crate::packet::{PacketId, PacketState};
-use crate::routing::route;
-use crate::topology::Topology;
+use crate::routing::route_into;
+use crate::topology::{ChannelId, Topology};
 use desim::Time;
 use mesh2d::Coord;
 use std::cmp::Reverse;
@@ -159,8 +164,11 @@ pub struct Network {
     waiter_head: Vec<u32>,
     /// Next waiter in the same channel's list (parallel to `packets`).
     waiter_next: Vec<u32>,
-    /// Routing-delay timers: (attempt stamp, slot), earliest first.
-    attempts: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Routing-delay timers: (attempt stamp, slot) in arming order. Every
+    /// timer is armed at `stamp + ts + 1` with a constant `ts` and a
+    /// monotone `stamp`, so arming order is due order and a FIFO is a
+    /// priority queue here.
+    attempts: VecDeque<(u64, u32)>,
     /// Slots woken for the next cycle (their channel was freed by a
     /// packet at an earlier arbitration position this cycle).
     wake_queue: Vec<u32>,
@@ -170,8 +178,19 @@ pub struct Network {
     drainers: Vec<u32>,
     /// Position of each slot in `drainers` (parallel to `packets`).
     drain_pos: Vec<u32>,
-    /// Scratch arbitration heap for one cycle's eligible packets.
-    cycle_heap: BinaryHeap<Reverse<(u32, u32)>>,
+    /// One cycle's activation list: the eligible packets gathered at the
+    /// start of the movement phase, packed `order_key << 32 | slot` and
+    /// sorted once. Empty between cycles; kept for its capacity.
+    actors: Vec<u64>,
+    /// Packets woken mid-cycle at an arbitration position later than the
+    /// releaser's (same packing as `actors`). They act this cycle,
+    /// merged into the sorted `actors` walk by taking the smaller head.
+    late_wakes: BinaryHeap<Reverse<u64>>,
+    /// Scratch: active-list positions of the packets that completed this
+    /// cycle.
+    done_pos: Vec<u32>,
+    /// Path buffers of completed packets, reused by [`Network::send`].
+    spare_paths: Vec<Vec<ChannelId>>,
     /// Per-node injection FIFO (packet slots waiting to enter).
     inject_q: Vec<VecDeque<u32>>,
     /// Nodes with non-empty injection queues, in the exact order the
@@ -254,12 +273,15 @@ impl Network {
             sched: Vec::new(),
             waiter_head: vec![NO_WAITER; channels],
             waiter_next: Vec::new(),
-            attempts: BinaryHeap::new(),
+            attempts: VecDeque::new(),
             wake_queue: Vec::new(),
             eager: Vec::new(),
             drainers: Vec::new(),
             drain_pos: Vec::new(),
-            cycle_heap: BinaryHeap::new(),
+            actors: Vec::new(),
+            late_wakes: BinaryHeap::new(),
+            done_pos: Vec::new(),
+            spare_paths: Vec::new(),
             inject_q: vec![VecDeque::new(); nodes],
             pending_nodes: Vec::new(),
             pending_pos: vec![0; nodes],
@@ -319,7 +341,8 @@ impl Network {
     /// time `now`. The route is fixed dimension-ordered (XY on mesh;
     /// minimal with dateline VCs on torus). Returns the packet's slab slot.
     pub fn send(&mut self, src: Coord, dst: Coord, len_flits: u32, tag: u64, now: Time) -> PacketId {
-        let path = route(&self.topo, src, dst);
+        let mut path = self.spare_paths.pop().unwrap_or_default();
+        route_into(&self.topo, src, dst, &mut path);
         let inj = path[0];
         let pkt = PacketState::new(path, len_flits, tag, now);
         let slot = match self.free_slots.pop() {
@@ -363,6 +386,13 @@ impl Network {
         std::mem::take(&mut self.completed)
     }
 
+    /// Moves all completions recorded so far to the end of `out`. Both
+    /// buffers keep their capacity, so a caller that reuses `out` drains
+    /// without allocating.
+    pub fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
+        out.append(&mut self.completed);
+    }
+
     /// Arbitration key of `slot` for the current cycle: its distance (in
     /// active-list positions) from the rotating round-robin head. Lower
     /// keys act first, exactly as the reference engine's scan order.
@@ -371,6 +401,27 @@ impl Network {
         let n = self.active.len();
         let p = self.pos[slot as usize] as usize;
         ((p + n - self.rr) % n) as u32
+    }
+
+    /// `slot`'s entry in the activation list: its arbitration key in the
+    /// high half, so ascending order is arbitration order (keys are
+    /// unique — one per active-list position).
+    #[inline]
+    fn actor(&self, slot: u32) -> u64 {
+        (self.order_key(slot) as u64) << 32 | slot as u64
+    }
+
+    /// Arms `slot`'s routing-delay timer: it attempts its next channel
+    /// acquisition `ts + 1` cycles from now.
+    #[inline]
+    fn arm_timer(&mut self, slot: usize) {
+        let due = self.stamp + self.ts as u64 + 1;
+        inv_assert!(
+            self.attempts.back().is_none_or(|&(last, _)| last <= due),
+            "routing-delay timer armed out of due order"
+        );
+        self.sched[slot] = Sched::AttemptAt(due);
+        self.attempts.push_back((due, slot as u32));
     }
 
     /// Advances the network one cycle. `now` is the absolute time of the
@@ -383,57 +434,81 @@ impl Network {
         // --- movement phase -------------------------------------------------
         // Gather the packets that can possibly act this cycle — drainers,
         // expired routing delays, woken waiters, eager re-attempters —
-        // and process them in rotating-arbitration order. Packets blocked
-        // on busy channels and unexpired routing delays are untouched.
+        // into one activation list, sort it once, and process it in
+        // rotating-arbitration order. Packets blocked on busy channels
+        // and unexpired routing delays are untouched.
         let n = self.active.len();
         if n > 0 {
             self.rr = (self.rr + 1) % n;
-            inv_assert!(self.cycle_heap.is_empty());
-            for i in 0..self.drainers.len() {
-                let slot = self.drainers[i];
-                self.cycle_heap.push(Reverse((self.order_key(slot), slot)));
+            let mut actors = std::mem::take(&mut self.actors);
+            inv_assert!(actors.is_empty() && self.late_wakes.is_empty());
+            for &slot in &self.drainers {
+                actors.push(self.actor(slot));
             }
-            while let Some(&Reverse((due, slot))) = self.attempts.peek() {
+            while let Some(&(due, slot)) = self.attempts.front() {
                 if due > s {
                     break;
                 }
                 inv_assert_eq!(due, s, "missed a routing-delay timer");
-                self.attempts.pop();
-                self.cycle_heap.push(Reverse((self.order_key(slot), slot)));
+                self.attempts.pop_front();
+                actors.push(self.actor(slot));
             }
-            let wakes = std::mem::take(&mut self.wake_queue);
-            for slot in &wakes {
-                self.cycle_heap.push(Reverse((self.order_key(*slot), *slot)));
+            for &slot in &self.wake_queue {
+                actors.push(self.actor(slot));
             }
-            let mut recycled = wakes;
-            recycled.clear();
-            self.wake_queue = recycled;
-            for i in 0..self.eager.len() {
-                let slot = self.eager[i];
-                self.cycle_heap.push(Reverse((self.order_key(slot), slot)));
+            self.wake_queue.clear();
+            for &slot in &self.eager {
+                actors.push(self.actor(slot));
             }
             self.eager.clear();
+            actors.sort_unstable();
 
-            let mut done_pos: Vec<u32> = Vec::new();
-            while let Some(Reverse((key, slot))) = self.cycle_heap.pop() {
-                if self.advance_packet(slot as usize, now, key) {
-                    done_pos.push(self.pos[slot as usize]);
+            // walk the sorted list, interleaving packets that a release
+            // wakes into this cycle: both sources only ever hold keys
+            // above the one just processed, so taking the smaller head
+            // each time visits every actor in ascending key order
+            let mut next = 0;
+            loop {
+                let entry = match (actors.get(next), self.late_wakes.peek()) {
+                    (Some(&a), Some(&Reverse(w))) if w < a => {
+                        self.late_wakes.pop();
+                        w
+                    }
+                    (Some(&a), _) => {
+                        next += 1;
+                        a
+                    }
+                    (None, Some(&Reverse(w))) => {
+                        self.late_wakes.pop();
+                        w
+                    }
+                    (None, None) => break,
+                };
+                let (key, slot) = ((entry >> 32) as u32, entry as u32 as usize);
+                if self.advance_packet(slot, now, key) {
+                    self.done_pos.push(self.pos[slot]);
                 }
             }
+            actors.clear();
+            self.actors = actors;
+
             // remove completed packets (largest position first so
             // swap_remove does not disturb smaller positions — the same
             // order as the reference engine)
-            done_pos.sort_unstable_by(|a, b| b.cmp(a));
-            for p in done_pos {
-                let p = p as usize;
+            self.done_pos.sort_unstable_by(|a, b| b.cmp(a));
+            for i in 0..self.done_pos.len() {
+                let p = self.done_pos[i] as usize;
                 let slot = self.active.swap_remove(p);
                 if p < self.active.len() {
                     self.pos[self.active[p] as usize] = p as u32;
                 }
-                self.packets[slot as usize] = None;
+                if let Some(pkt) = self.packets[slot as usize].take() {
+                    self.spare_paths.push(pkt.path);
+                }
                 self.sched[slot as usize] = Sched::Queued;
                 self.free_slots.push(slot);
             }
+            self.done_pos.clear();
         }
 
         // --- injection phase -------------------------------------------------
@@ -481,9 +556,7 @@ impl Network {
                 pkt.tail = 0;
                 pkt.injected = 1;
                 pkt.injected_at = now;
-                let due = s + self.ts as u64 + 1;
-                self.sched[front] = Sched::AttemptAt(due);
-                self.attempts.push(Reverse((due, front as u32)));
+                self.arm_timer(front);
                 // procsim-lint: allow(D005): active list length is bounded by the packet arena, far under u32::MAX
                 self.pos[front] = self.active.len() as u32;
                 self.active.push(front as u32);
@@ -571,6 +644,23 @@ impl Network {
             .filter(|&&slot| matches!(self.sched[slot as usize], Sched::Waiting { .. }))
             .count();
         assert_eq!(listed, waiting, "waiter lists do not cover the Waiting packets");
+
+        // movement layer: the per-cycle scratch is empty between cycles,
+        // and the timer FIFO is in due order with nothing overdue
+        assert!(
+            self.actors.is_empty() && self.late_wakes.is_empty() && self.done_pos.is_empty(),
+            "movement scratch leaked entries across cycles"
+        );
+        let mut earliest = self.stamp + 1;
+        for &(due, slot) in &self.attempts {
+            assert!(due >= earliest, "timer FIFO out of due order or overdue at slot {slot}");
+            assert_eq!(
+                self.sched[slot as usize],
+                Sched::AttemptAt(due),
+                "timer FIFO entry for slot {slot} disagrees with its scheduling state"
+            );
+            earliest = due;
+        }
 
         // injection layer: the parked/ready node states must exactly
         // partition the pending set, agree with the queue contents and
@@ -717,7 +807,7 @@ impl Network {
             self.sched[w as usize] = Sched::Waking { from };
             let kw = self.order_key(w);
             if kw > key {
-                self.cycle_heap.push(Reverse((kw, w)));
+                self.late_wakes.push(Reverse(self.actor(w)));
             } else {
                 self.wake_queue.push(w);
             }
@@ -794,7 +884,7 @@ impl Network {
             }
             Sched::Eager => self.try_advance_header(slot, now, key),
             Sched::Queued | Sched::Waiting { .. } => {
-                unreachable!("inert packet reached the arbitration heap")
+                unreachable!("inert packet reached the activation list")
             }
         }
     }
@@ -850,9 +940,7 @@ impl Network {
             self.drainers.push(slot as u32);
         } else {
             // routing delay at the node just entered
-            let due = s + self.ts as u64 + 1;
-            self.sched[slot] = Sched::AttemptAt(due);
-            self.attempts.push(Reverse((due, slot as u32)));
+            self.arm_timer(slot);
         }
         if let Some(f) = freed {
             self.release_channel(f, key);
@@ -884,8 +972,8 @@ impl Network {
         // every active packet is now Waiting or AttemptAt and every
         // queued sender is parked; nothing can happen before the earliest
         // timer fires
-        match self.attempts.peek() {
-            Some(&Reverse((due, _))) => due - self.stamp - 1,
+        match self.attempts.front() {
+            Some(&(due, _)) => due - self.stamp - 1,
             None => 0,
         }
     }

@@ -39,7 +39,7 @@ pub struct PacketState {
     /// Remaining routing-delay cycles before the header may attempt its
     /// next channel acquisition. Only the test-gated reference engine
     /// counts delay down cycle by cycle; the compressed engine schedules
-    /// acquisition attempts on a timer heap instead.
+    /// acquisition attempts on a timer queue instead.
     #[cfg(test)]
     pub(crate) countdown: u32,
     /// Header has reached the ejection channel; the worm is streaming into

@@ -37,17 +37,31 @@ fn ring_leg(from: u16, to: u16, extent: u16, pos: Direction, neg: Direction) -> 
 /// use the shortest way around each ring and the dateline VC discipline.
 /// A self-message routes through the node's ports only.
 pub fn route(topo: &Topology, src: Coord, dst: Coord) -> Vec<ChannelId> {
+    let mut path = Vec::with_capacity(topo.distance(src, dst) as usize + 2);
+    route_into(topo, src, dst, &mut path);
+    path
+}
+
+/// [`route`] into a caller-owned buffer: `path` is cleared and refilled,
+/// so a recycled buffer makes routing allocation-free.
+pub fn route_into(topo: &Topology, src: Coord, dst: Coord, path: &mut Vec<ChannelId>) {
+    path.clear();
     match topo.kind() {
-        TopologyKind::Mesh => xy_route(topo, src, dst),
-        TopologyKind::Torus => torus_route(topo, src, dst),
+        TopologyKind::Mesh => xy_route_into(topo, src, dst, path),
+        TopologyKind::Torus => torus_route_into(topo, src, dst, path),
     }
 }
 
 /// Mesh XY route (the paper's configuration). See [`route`].
 pub fn xy_route(topo: &Topology, src: Coord, dst: Coord) -> Vec<ChannelId> {
+    let mut path = Vec::with_capacity(src.manhattan(&dst) as usize + 2);
+    xy_route_into(topo, src, dst, &mut path);
+    path
+}
+
+/// Appends the mesh XY route to `path`.
+fn xy_route_into(topo: &Topology, src: Coord, dst: Coord, path: &mut Vec<ChannelId>) {
     debug_assert_eq!(topo.kind(), TopologyKind::Mesh);
-    let hops = src.manhattan(&dst) as usize;
-    let mut path = Vec::with_capacity(hops + 2);
     path.push(topo.inject(src));
     let mut cur = src;
     while cur.x != dst.x {
@@ -69,12 +83,11 @@ pub fn xy_route(topo: &Topology, src: Coord, dst: Coord) -> Vec<ChannelId> {
         cur = topo.neighbour(cur, d);
     }
     path.push(topo.eject(dst));
-    path
 }
 
-/// Torus minimal dimension-ordered route with dateline VC switching.
-fn torus_route(topo: &Topology, src: Coord, dst: Coord) -> Vec<ChannelId> {
-    let mut path = Vec::with_capacity(topo.distance(src, dst) as usize + 2);
+/// Appends the torus minimal dimension-ordered route, with dateline VC
+/// switching, to `path`.
+fn torus_route_into(topo: &Topology, src: Coord, dst: Coord, path: &mut Vec<ChannelId>) {
     path.push(topo.inject(src));
     let mut cur = src;
 
@@ -100,7 +113,6 @@ fn torus_route(topo: &Topology, src: Coord, dst: Coord) -> Vec<ChannelId> {
 
     debug_assert_eq!(cur, dst);
     path.push(topo.eject(dst));
-    path
 }
 
 #[cfg(test)]

@@ -40,37 +40,139 @@ use procsim_core::scenario::{Value, WorkloadName};
 use std::io::Write;
 use std::sync::Arc;
 
+/// One subcommand's command line: the flags that take a value, the
+/// switches that take none, how many positional arguments it takes, and
+/// the usage text printed by `procsim help` and with every usage error.
+struct Cmd {
+    name: &'static str,
+    usage: &'static str,
+    values: &'static [&'static str],
+    switches: &'static [&'static str],
+    positional: usize,
+}
+
+const COMMANDS: [Cmd; 5] = [
+    Cmd {
+        name: "run",
+        usage: "procsim run   [--strategy S] [--scheduler P] [--workload W] [--load L]\n\
+                \x20               [--topology T] [--jobs N] [--seed K] [--reps R] [--threads T]",
+        values: &[
+            "strategy", "scheduler", "workload", "topology", "load", "jobs", "seed", "reps",
+            "threads",
+        ],
+        switches: &["torus"],
+        positional: 0,
+    },
+    Cmd {
+        name: "sweep",
+        usage: "procsim sweep --loads a,b,c [run's flags except --load]",
+        values: &[
+            "loads", "strategy", "scheduler", "workload", "topology", "jobs", "seed", "reps",
+            "threads",
+        ],
+        switches: &["torus"],
+        positional: 0,
+    },
+    Cmd {
+        name: "trace",
+        usage: "procsim trace <file.swf> [--load RHO] [--strategy S|all] [--scheduler P]\n\
+                \x20               [--topology T] [--scale S] [--jobs N] [--reps R] [--seed K]\n\
+                \x20               [--csv PATH] [--threads T]",
+        // `factor` is the retired spelling of `load`: accepted here only
+        // so `run_trace` can say what replaced it
+        values: &[
+            "load", "strategy", "scheduler", "topology", "scale", "jobs", "reps", "seed", "csv",
+            "threads", "factor",
+        ],
+        switches: &["torus"],
+        positional: 1,
+    },
+    Cmd {
+        name: "gen-trace",
+        usage: "procsim gen-trace <out.swf> [--model paragon|cm5] [--jobs N] [--seed K]",
+        values: &["model", "jobs", "seed"],
+        switches: &[],
+        positional: 1,
+    },
+    Cmd {
+        name: "campaign",
+        usage: "procsim campaign <scenario.toml> [--cache DIR] [--csv PATH] [--force]\n\
+                \x20               [--dry-run] [--threads T]",
+        values: &["cache", "csv", "threads"],
+        switches: &["force", "dry-run"],
+        positional: 1,
+    },
+];
+
+/// A parsed command line, checked against its subcommand's [`Cmd`].
 struct Args {
+    cmd: &'static Cmd,
     map: std::collections::HashMap<String, String>,
     flags: Vec<String>,
     positional: Vec<String>,
 }
 
-fn parse_args(args: &[String]) -> Args {
-    let mut map = std::collections::HashMap::new();
-    let mut flags = Vec::new();
-    let mut positional = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(key) = a.strip_prefix("--") {
-            if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                map.insert(key.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                flags.push(key.to_string());
-                i += 1;
-            }
-        } else {
-            positional.push(a.clone());
-            i += 1;
+impl Args {
+    /// Exits 2 with `msg` and the subcommand's usage.
+    fn usage_error(&self, msg: &str) -> ! {
+        eprintln!("error: {msg}");
+        eprintln!("usage:\n  {}", self.cmd.usage);
+        eprintln!("run `procsim help` for the accepted values");
+        std::process::exit(2)
+    }
+
+    /// The value of `--key` parsed as a number, or `default` when the
+    /// flag is absent. A value that does not parse is a usage error.
+    fn num<T>(&self, key: &str, default: T) -> T
+    where
+        T: std::str::FromStr,
+        T::Err: std::fmt::Display,
+    {
+        match self.map.get(key) {
+            None => default,
+            Some(s) => s
+                .parse()
+                .unwrap_or_else(|e| self.usage_error(&format!("bad --{key} '{s}': {e}"))),
         }
     }
-    Args {
-        map,
-        flags,
-        positional,
+}
+
+/// Parses `args` (the words after the subcommand) against `cmd`: a value
+/// flag takes the next word, a switch takes none, and an unknown flag, a
+/// missing or repeated value, or a stray positional word is a usage
+/// error (exit 2), so a misspelled flag is never silently ignored.
+fn parse_args(cmd: &'static Cmd, args: &[String]) -> Args {
+    let mut a = Args {
+        cmd,
+        map: std::collections::HashMap::new(),
+        flags: Vec::new(),
+        positional: Vec::new(),
+    };
+    let mut words = args.iter();
+    while let Some(word) = words.next() {
+        let Some(key) = word.strip_prefix("--") else {
+            if a.positional.len() == cmd.positional {
+                a.usage_error(&format!("unexpected argument '{word}'"));
+            }
+            a.positional.push(word.clone());
+            continue;
+        };
+        if cmd.switches.contains(&key) {
+            a.flags.push(key.to_string());
+        } else if cmd.values.contains(&key) {
+            let value = match words.as_slice().first() {
+                Some(v) if !v.starts_with("--") => v.clone(),
+                _ => a.usage_error(&format!("--{key} needs a value")),
+            };
+            words.next();
+            if a.map.insert(key.to_string(), value).is_some() {
+                a.usage_error(&format!("--{key} given twice"));
+            }
+        } else {
+            a.usage_error(&format!("unknown flag --{key} for `procsim {}`", cmd.name));
+        }
     }
+    a
 }
 
 fn strategy_of(name: &str) -> StrategyKind {
@@ -91,11 +193,6 @@ fn die(msg: &str) -> ! {
 /// Reads the run topology from `--topology mesh|torus` (or the legacy
 /// `--torus` flag). The two spellings must agree if both appear.
 fn topology_of(a: &Args) -> TopologyKind {
-    if a.flags.iter().any(|f| f == "topology") {
-        // the value was missing (or swallowed by a following flag);
-        // falling back to mesh would silently ignore the user's choice
-        die("--topology needs a value (mesh or torus)");
-    }
     let named = a
         .map
         .get("topology")
@@ -131,15 +228,14 @@ fn point_config(a: &Args, load: Option<&str>) -> SimConfig {
         let load = load.trim();
         set("load", Value::Float(load.parse().unwrap_or_else(|_| die(&format!("bad load '{load}'")))));
     }
-    let jobs: i64 = a.map.get("jobs").map(|s| s.parse().expect("bad --jobs")).unwrap_or(400);
+    let jobs: i64 = a.num("jobs", 400);
     set("measured", Value::Int(jobs));
     set("warmup", Value::Int((jobs / 4).max(10)));
     if settings.workload == WorkloadName::Trace {
         die("--workload trace replays a file: use `procsim trace <file.swf>`");
     }
     settings.topology = topology_of(a);
-    let seed: u64 = a.map.get("seed").map(|s| s.parse().expect("bad --seed")).unwrap_or(42);
-    settings.sim_config(seed, None)
+    settings.sim_config(a.num("seed", 42), None)
 }
 
 fn print_result(p: &procsim::PointResult) {
@@ -187,6 +283,31 @@ fn run_trace(a: &Args, reps: usize) {
         .positional
         .first()
         .unwrap_or_else(|| die("trace needs a .swf file path"));
+    if a.map.contains_key("factor") {
+        // the pre-offered-load flag; ignoring it silently would replay at
+        // a different load than the caller asked for
+        die(
+            "--factor was replaced by --load (target offered load, e.g. 0.7); \
+             a factor f corresponds to --load <native_load / f> — see docs/WORKLOADS.md",
+        );
+    }
+    let load: f64 = a.num("load", 0.7);
+    // `!(x > 0.0)` also rejects NaN, which `x <= 0.0` would let through
+    if !(load > 0.0 && load.is_finite()) {
+        die("--load must be a positive number (offered-load fraction, e.g. 0.7)");
+    }
+    let scale: f64 = a.num("scale", 360.0);
+    if !(scale > 0.0 && scale.is_finite()) {
+        die("--scale must be a positive number (seconds of runtime per message)");
+    }
+    let topology = topology_of(a);
+    let strategies: Vec<StrategyKind> = match a.map.get("strategy").map(|s| s.as_str()) {
+        None | Some("all") => StrategyKind::PAPER.to_vec(),
+        Some(name) => vec![strategy_of(name)],
+    };
+    let scheduler = scheduler_of(a.map.get("scheduler").map(|s| s.as_str()).unwrap_or("fcfs"));
+    let seed: u64 = a.num("seed", 42);
+    let req_jobs: usize = a.num("jobs", 400);
     let trace = TraceWorkload::open(path).unwrap_or_else(|e| die(&e.to_string()));
     let (mesh_w, mesh_l) = procsim::PAPER_MESH;
     let machine = mesh_w as u32 * mesh_l as u32;
@@ -200,45 +321,12 @@ fn run_trace(a: &Args, reps: usize) {
         machine
     );
 
-    if a.map.contains_key("factor") || a.flags.iter().any(|f| f == "factor") {
-        // the pre-offered-load flag; ignoring it silently would replay at
-        // a different load than the caller asked for
-        die(
-            "--factor was replaced by --load (target offered load, e.g. 0.7); \
-             a factor f corresponds to --load <native_load / f> — see docs/WORKLOADS.md",
-        );
-    }
-    let load: f64 = a
-        .map
-        .get("load")
-        .map(|s| s.parse().expect("bad --load"))
-        .unwrap_or(0.7);
-    // `!(x > 0.0)` also rejects NaN, which `x <= 0.0` would let through
-    if !(load > 0.0 && load.is_finite()) {
-        die("--load must be a positive number (offered-load fraction, e.g. 0.7)");
-    }
-    let scale: f64 = a
-        .map
-        .get("scale")
-        .map(|s| s.parse().expect("bad --scale"))
-        .unwrap_or(360.0);
-    if !(scale > 0.0 && scale.is_finite()) {
-        die("--scale must be a positive number (seconds of runtime per message)");
-    }
-    let topology = topology_of(a);
     let factor = trace.factor_for_offered_load(machine, load);
     println!(
         "replaying at offered load {load} on the {topology} \
          (arrival-scaling factor f = {factor:.4}, f < 1 compresses)\n"
     );
 
-    let strategies: Vec<StrategyKind> = match a.map.get("strategy").map(|s| s.as_str()) {
-        None | Some("all") => StrategyKind::PAPER.to_vec(),
-        Some(name) => vec![strategy_of(name)],
-    };
-    let scheduler = scheduler_of(a.map.get("scheduler").map(|s| s.as_str()).unwrap_or("fcfs"));
-    let seed: u64 = a.map.get("seed").map(|s| s.parse().expect("bad --seed")).unwrap_or(42);
-    let req_jobs: usize = a.map.get("jobs").map(|s| s.parse().expect("bad --jobs")).unwrap_or(400);
     // a replication only sees trace.len() arrivals (the segment wraps the
     // stream exactly once), so cap warmup + measurement to what the trace
     // can feed
@@ -359,8 +447,8 @@ fn run_gen_trace(a: &Args) {
         .first()
         .unwrap_or_else(|| die("gen-trace needs an output .swf path"));
     let model = a.map.get("model").map(|s| s.as_str()).unwrap_or("paragon");
-    let jobs: usize = a.map.get("jobs").map(|s| s.parse().expect("bad --jobs")).unwrap_or(600);
-    let seed: u64 = a.map.get("seed").map(|s| s.parse().expect("bad --seed")).unwrap_or(2008);
+    let jobs: usize = a.num("jobs", 600);
+    let seed: u64 = a.num("seed", 2008);
     if let Some(dir) = std::path::Path::new(out).parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("mkdir: {e}")));
@@ -478,25 +566,63 @@ fn run_campaign_cmd(a: &Args) {
     );
 }
 
+fn print_help() {
+    println!("procsim — 2D mesh processor allocation & scheduling simulator");
+    println!("(IPDPS 2008 reproduction; see README.md)\n");
+    println!("usage:");
+    for cmd in &COMMANDS {
+        println!("  {}", cmd.usage);
+    }
+    println!();
+    println!("campaign runs a declarative scenario file (see docs/CAMPAIGNS.md and");
+    println!("scenarios/): the cross-product of its matrix, cached per point on disk,");
+    println!("so interrupted or extended campaigns resume by rerunning only what's");
+    println!("missing — output is byte-identical at any thread count.");
+    println!();
+    println!("strategies: gabl paging0..paging3 mbs ff bf random mc");
+    println!("            (paging<k>-shuffled, -snake, -shuffled-snake: page indexing)");
+    println!("schedulers: fcfs ssd sjf ljf easy fcfs-window<N>");
+    println!("workloads:  uniform exponential paragon cm5");
+    println!("topologies: mesh torus   (--torus = legacy alias; docs/TOPOLOGIES.md)");
+    println!();
+    println!("trace --load is the target offered load (fraction of machine capacity");
+    println!("in trace time, e.g. 0.7); see docs/WORKLOADS.md for the scaling math.");
+    println!("traces replay as a streaming pipeline (bounded memory, any length);");
+    println!("--reps 1 runs one replication per strategy (stress mode, no CIs)");
+    println!();
+    println!("replications run on a shared worker pool; size it with --threads N");
+    println!("or PROCSIM_THREADS=N (results are identical for any thread count)");
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = argv.first().map(|s| s.as_str()).unwrap_or("help");
-    let a = parse_args(&argv[1.min(argv.len())..]);
-    let reps: usize = a.map.get("reps").map(|s| s.parse().expect("bad --reps")).unwrap_or(3);
-    if let Some(n) = a.map.get("threads") {
-        let n: usize = n.parse().expect("bad --threads");
+    let name = argv.first().map(|s| s.as_str()).unwrap_or("help");
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
+        if matches!(name, "help" | "--help" | "-h") {
+            print_help();
+            return;
+        }
+        die(&format!("unknown command '{name}'"));
+    };
+    let a = parse_args(cmd, &argv[1..]);
+    let reps: usize = a.num("reps", 3);
+    if a.map.contains_key("threads") {
+        let n: usize = a.num("threads", 1);
         if !procsim::pool::configure_global(n.max(1)) {
             eprintln!("warning: worker pool already sized; --threads {n} ignored");
         }
     }
 
-    match cmd {
+    match cmd.name {
         "run" => {
             let cfg = point_config(&a, a.map.get("load").map(String::as_str));
             print_result(&run_point(&cfg, reps.max(2), reps.max(2) * 2));
         }
         "sweep" => {
-            let loads = a.map.get("loads").unwrap_or_else(|| die("sweep needs --loads a,b,c"));
+            let loads = a
+                .map
+                .get("loads")
+                .unwrap_or_else(|| a.usage_error("sweep needs --loads a,b,c"));
             // one batch: every load's replications share the worker pool
             let cfgs: Vec<SimConfig> = loads.split(',').map(|l| point_config(&a, Some(l))).collect();
             for p in run_points(&cfgs, reps.max(2), reps.max(2) * 2) {
@@ -505,39 +631,6 @@ fn main() {
         }
         "trace" => run_trace(&a, reps),
         "gen-trace" => run_gen_trace(&a),
-        "campaign" => run_campaign_cmd(&a),
-        _ => {
-            println!("procsim — 2D mesh processor allocation & scheduling simulator");
-            println!("(IPDPS 2008 reproduction; see README.md)\n");
-            println!("usage:");
-            println!("  procsim run   [--strategy S] [--scheduler P] [--workload W] [--load L]");
-            println!("                [--topology T] [--jobs N] [--seed K] [--reps R] [--threads T]");
-            println!("  procsim sweep --loads a,b,c [same flags]");
-            println!("  procsim trace <file.swf> [--load RHO] [--strategy S|all] [--scheduler P]");
-            println!("                [--topology T] [--scale S] [--jobs N] [--reps R] [--seed K]");
-            println!("                [--csv PATH]");
-            println!("  procsim gen-trace <out.swf> [--model paragon|cm5] [--jobs N] [--seed K]");
-            println!("  procsim campaign <scenario.toml> [--cache DIR] [--csv PATH] [--force]");
-            println!("                [--dry-run] [--threads T]");
-            println!();
-            println!("campaign runs a declarative scenario file (see docs/CAMPAIGNS.md and");
-            println!("scenarios/): the cross-product of its matrix, cached per point on disk,");
-            println!("so interrupted or extended campaigns resume by rerunning only what's");
-            println!("missing — output is byte-identical at any thread count.");
-            println!();
-            println!("strategies: gabl paging0..paging3 mbs ff bf random mc");
-            println!("            (paging<k>-shuffled, -snake, -shuffled-snake: page indexing)");
-            println!("schedulers: fcfs ssd sjf ljf easy fcfs-window<N>");
-            println!("workloads:  uniform exponential paragon cm5");
-            println!("topologies: mesh torus   (--torus = legacy alias; docs/TOPOLOGIES.md)");
-            println!();
-            println!("trace --load is the target offered load (fraction of machine capacity");
-            println!("in trace time, e.g. 0.7); see docs/WORKLOADS.md for the scaling math.");
-            println!("traces replay as a streaming pipeline (bounded memory, any length);");
-            println!("--reps 1 runs one replication per strategy (stress mode, no CIs)");
-            println!();
-            println!("replications run on a shared worker pool; size it with --threads N");
-            println!("or PROCSIM_THREADS=N (results are identical for any thread count)");
-        }
+        _ => run_campaign_cmd(&a),
     }
 }

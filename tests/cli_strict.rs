@@ -1,0 +1,139 @@
+//! The CLI rejects what it does not understand: a misspelled flag, a
+//! value that is not a number, a missing or repeated value and a stray
+//! argument all exit 2 with the subcommand's usage, never 0 (silently
+//! ignored) and never 101 (a panic). Every case fails while parsing, so
+//! none of them simulates anything.
+
+use std::process::{Command, Output};
+
+const SAMPLE: &str = "results/traces/sdsc_sample.swf";
+
+fn procsim(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_procsim"))
+        .args(args)
+        .output()
+        .expect("procsim binary runs")
+}
+
+/// Asserts a usage error: exit 2, no panic, stderr naming `needle` and
+/// showing the usage of `procsim <cmd>`.
+fn assert_usage_error(args: &[&str], needle: &str) {
+    let out = procsim(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+    assert!(
+        stderr.contains(needle),
+        "{args:?}: stderr lacks {needle:?}: {stderr}"
+    );
+    let usage = format!("procsim {}", args[0]);
+    assert!(
+        stderr.contains("usage:") && stderr.contains(&usage),
+        "{args:?}: stderr lacks the usage of {usage}: {stderr}"
+    );
+}
+
+#[test]
+fn unknown_flags_exit_2_with_usage() {
+    assert_usage_error(&["run", "--thredas", "1"], "unknown flag --thredas");
+    assert_usage_error(&["run", "--jbos", "50"], "unknown flag --jbos");
+    assert_usage_error(
+        &["sweep", "--loads", "0.001", "--sed", "3"],
+        "unknown flag --sed",
+    );
+    // sweep takes its loads from --loads only; --load would be ignored
+    assert_usage_error(
+        &["sweep", "--loads", "0.001", "--load", "0.1"],
+        "unknown flag --load",
+    );
+    assert_usage_error(&["trace", SAMPLE, "--lod", "0.7"], "unknown flag --lod");
+    assert_usage_error(
+        &["gen-trace", "/nonexistent/x.swf", "--modle", "cm5"],
+        "unknown flag --modle",
+    );
+    assert_usage_error(
+        &["campaign", "scenarios/smoke.toml", "--dryrun"],
+        "unknown flag --dryrun",
+    );
+    // a flag of another subcommand is unknown here too
+    assert_usage_error(&["run", "--dry-run"], "unknown flag --dry-run");
+}
+
+#[test]
+fn bad_numbers_exit_2_instead_of_panicking() {
+    assert_usage_error(&["run", "--jobs", "abc"], "bad --jobs 'abc'");
+    assert_usage_error(&["run", "--seed", "-3"], "bad --seed '-3'");
+    assert_usage_error(&["run", "--reps", "two"], "bad --reps 'two'");
+    assert_usage_error(&["run", "--threads", "1.5"], "bad --threads '1.5'");
+    assert_usage_error(
+        &["sweep", "--loads", "0.001", "--jobs", "1e3"],
+        "bad --jobs '1e3'",
+    );
+    assert_usage_error(&["trace", SAMPLE, "--load", "x"], "bad --load 'x'");
+    assert_usage_error(&["trace", SAMPLE, "--scale", "fast"], "bad --scale 'fast'");
+    assert_usage_error(&["trace", SAMPLE, "--jobs", "-1"], "bad --jobs '-1'");
+    assert_usage_error(
+        &["gen-trace", "/nonexistent/x.swf", "--seed", "s"],
+        "bad --seed 's'",
+    );
+    assert_usage_error(
+        &["campaign", "scenarios/smoke.toml", "--threads", "many"],
+        "bad --threads 'many'",
+    );
+}
+
+#[test]
+fn missing_repeated_and_stray_arguments_exit_2() {
+    assert_usage_error(&["run", "--jobs"], "--jobs needs a value");
+    assert_usage_error(&["run", "--seed", "--jobs", "40"], "--seed needs a value");
+    assert_usage_error(
+        &["run", "--jobs", "40", "--jobs", "50"],
+        "--jobs given twice",
+    );
+    assert_usage_error(&["run", "stray"], "unexpected argument 'stray'");
+    assert_usage_error(&["trace", SAMPLE, SAMPLE], "unexpected argument");
+    let out = procsim(&["rnu"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command 'rnu'"));
+}
+
+#[test]
+fn switches_never_swallow_the_next_word() {
+    // `--force` takes no value: the scenario path after it is still the
+    // positional argument
+    let cache = std::env::temp_dir().join(format!("procsim_cli_strict_{}", std::process::id()));
+    let out = procsim(&[
+        "campaign",
+        "--force",
+        "scenarios/smoke.toml",
+        "--dry-run",
+        "--cache",
+        cache.to_str().unwrap(),
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("campaign 'smoke': 4 points"), "{stdout}");
+    assert!(
+        stdout.contains("--force"),
+        "--force must be honoured: {stdout}"
+    );
+}
+
+#[test]
+fn help_lists_every_subcommand_and_exits_0() {
+    for args in [&[][..], &["help"][..], &["--help"][..]] {
+        let out = procsim(args);
+        assert!(out.status.success(), "{args:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        for cmd in ["run", "sweep", "trace", "gen-trace", "campaign"] {
+            assert!(
+                stdout.contains(&format!("procsim {cmd} ")),
+                "{args:?}: {stdout}"
+            );
+        }
+    }
+}
