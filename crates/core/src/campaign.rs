@@ -1,9 +1,10 @@
-//! Resumable campaign runner: expands a [`Scenario`] into its full
-//! cross-product of experimental points, shards the missing ones through
-//! the shared worker pool ([`crate::replicate::run_points_on`]), and
-//! caches each completed point on disk under a content hash of its spec —
-//! so an interrupted or extended campaign resumes for free, rerunning
-//! only points whose results are not already cached.
+//! Resumable campaign runner: [`expand`] turns a [`Scenario`] into its
+//! full cross-product of experimental points; [`run_campaign`] shards the
+//! missing ones through the caller's worker pool
+//! ([`crate::replicate::run_points`]) and caches each completed point on
+//! disk under a content hash of its spec — so an interrupted or extended
+//! campaign resumes for free, rerunning only points whose results are not
+//! already cached.
 //!
 //! Determinism contract (pinned by `crates/core/tests/campaign_resume.rs`
 //! and the CI golden steps):
@@ -34,8 +35,8 @@ use std::sync::Arc;
 use simstats::StopReason;
 use workload::TraceWorkload;
 
-use crate::pool;
-use crate::replicate::{derive_seed, run_points_on, PointResult};
+use crate::pool::WorkerPool;
+use crate::replicate::{derive_seed, run_points, PointResult};
 use crate::scenario::{OutputSpec, PointSettings, Scenario, ScenarioError, WorkloadName};
 
 /// Bump when the cache entry format or the spec string changes meaning:
@@ -220,7 +221,7 @@ pub fn expand(s: &Scenario) -> Result<Vec<CampaignPoint>, ScenarioError> {
 /// surfaced at run time.
 #[derive(Debug)]
 pub enum CampaignError {
-    /// Scenario expansion failed.
+    /// The scenario's `[output]` layout names an unknown column.
     Scenario(ScenarioError),
     /// Cache directory or CSV I/O failed.
     Io {
@@ -241,12 +242,6 @@ impl core::fmt::Display for CampaignError {
 }
 
 impl std::error::Error for CampaignError {}
-
-impl From<ScenarioError> for CampaignError {
-    fn from(e: ScenarioError) -> Self {
-        CampaignError::Scenario(e)
-    }
-}
 
 fn io_err(context: impl Into<String>) -> impl FnOnce(std::io::Error) -> CampaignError {
     let context = context.into();
@@ -350,12 +345,10 @@ pub fn cached_count(points: &[CampaignPoint], dir: &Path) -> usize {
 // the runner
 // ---------------------------------------------------------------------------
 
-/// Execution knobs of one `run_campaign` invocation (all orthogonal to
-/// the results: thread count and caching change wall-clock only).
+/// Cache knobs of one `run_campaign` invocation (orthogonal to the
+/// results, like the pool's thread count: they change wall-clock only).
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
-    /// Worker threads (`None` = the shared global pool's size).
-    pub threads: Option<usize>,
     /// Cache directory for completed points.
     pub cache_dir: PathBuf,
     /// Ignore (and overwrite) existing cache entries.
@@ -377,34 +370,37 @@ pub struct CampaignOutcome {
     pub csv: String,
 }
 
-/// Expands `scenario`, loads every cached point, runs the missing ones
-/// on the worker pool, persists them, and merges everything into the
-/// scenario's CSV layout. The merged CSV is byte-identical to an
+/// Loads every cached point of `points` (the [`expand`]ed `scenario`),
+/// runs the missing ones on `pool`, persists them, and merges everything
+/// into the scenario's CSV layout. The merged CSV is byte-identical to an
 /// uninterrupted fresh run at any thread count, however the campaign was
 /// previously sliced.
 pub fn run_campaign(
+    pool: &WorkerPool,
     scenario: &Scenario,
+    points: &[CampaignPoint],
     opts: &CampaignOptions,
 ) -> Result<CampaignOutcome, CampaignError> {
-    let points = expand(scenario)?;
     std::fs::create_dir_all(&opts.cache_dir).map_err(io_err(format!(
         "cannot create cache dir {}",
         opts.cache_dir.display()
     )))?;
 
-    let mut results: Vec<Option<PointResult>> = Vec::with_capacity(points.len());
-    for point in &points {
-        results.push(if opts.force {
-            None
-        } else {
-            load_entry(&opts.cache_dir, point)
-        });
-    }
-    let cached = results.iter().filter(|r| r.is_some()).count();
+    let mut results: Vec<Option<PointResult>> = points
+        .iter()
+        .map(|point| {
+            if opts.force {
+                None
+            } else {
+                load_entry(&opts.cache_dir, point)
+            }
+        })
+        .collect();
     let from_cache: Vec<bool> = results.iter().map(Option::is_some).collect();
+    let cached = from_cache.iter().filter(|&&c| c).count();
 
     // Group the missing points by their replication bounds: each group is
-    // one `run_points_on` batch (the controller is per-batch). BTreeMap
+    // one `run_points` batch (the controller is per-batch). BTreeMap
     // keeps group order deterministic; within a group, expansion order is
     // preserved. Per-point results are independent of the grouping.
     let mut groups: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
@@ -416,20 +412,13 @@ pub fn run_campaign(
                 .push(i);
         }
     }
-    let executed: usize = groups.values().map(Vec::len).sum();
 
-    if executed > 0 {
-        let pool = pool::pool_with(opts.threads);
-        for ((min_reps, max_reps), members) in &groups {
-            let cfgs: Vec<crate::SimConfig> = members
-                .iter()
-                .map(|&i| points[i].sim_config())
-                .collect();
-            let fresh = run_points_on(&pool, &cfgs, *min_reps, *max_reps);
-            for (&i, p) in members.iter().zip(fresh) {
-                write_entry(&opts.cache_dir, &points[i], &p)?;
-                results[i] = Some(p);
-            }
+    for ((min_reps, max_reps), members) in &groups {
+        let cfgs: Vec<crate::SimConfig> = members.iter().map(|&i| points[i].sim_config()).collect();
+        let fresh = run_points(pool, &cfgs, *min_reps, *max_reps);
+        for (&i, p) in members.iter().zip(fresh) {
+            write_entry(&opts.cache_dir, &points[i], &p)?;
+            results[i] = Some(p);
         }
     }
 
@@ -442,12 +431,12 @@ pub fn run_campaign(
             r.expect("invariant: campaign point resolved")
         })
         .collect();
-    let csv = render_csv(scenario, &points, &merged)?;
+    let csv = render_csv(scenario, points, &merged)?;
 
     Ok(CampaignOutcome {
         points: merged,
         from_cache,
-        executed,
+        executed: points.len() - cached,
         cached,
         csv,
     })

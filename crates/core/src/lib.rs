@@ -16,16 +16,18 @@
 //!
 //! Entry points:
 //! * [`Simulator::run`] — one replication, returning [`RunMetrics`],
-//! * [`replicate::run_point`] — replications until the paper's 95 % CI /
-//!   5 % relative error criterion is met, executed in parallel on the
-//!   shared [`pool`] worker pool (bit-identical to the sequential
+//! * [`replicate::run_points`] — a batch of points (one point, or every
+//!   (series × load) combination of a figure), each replicated until the
+//!   paper's 95 % CI / 5 % relative error criterion is met, in parallel
+//!   on the caller's [`WorkerPool`] (bit-identical to the sequential
 //!   reference [`replicate::run_point_seq`] at any thread count),
-//! * [`replicate::run_points`] — a whole batch of points (e.g. every
-//!   (series × load) combination of a figure) multiplexed over the same
-//!   pool.
+//! * [`campaign::run_campaign`] — the [`campaign::expand`]ed points of a
+//!   scenario file, cached per point on disk, run through the same pool.
 //!
-//! Parallelism is controlled by the CLI `--threads N` flag or the
-//! `PROCSIM_THREADS` environment variable; see [`pool`].
+//! The caller owns the only pool and passes it down: the `procsim` CLI
+//! builds one in `main`, sized by `--threads N`, else the
+//! `PROCSIM_THREADS` environment variable, else the machine's available
+//! parallelism ([`pool::default_threads`]).
 
 pub mod campaign;
 pub mod config;
@@ -43,10 +45,7 @@ pub use config::{SimConfig, WorkloadSpec};
 pub use scenario::{PointSettings, Scenario, ScenarioError};
 pub use metrics::RunMetrics;
 pub use pool::WorkerPool;
-pub use replicate::{
-    derive_seed, run_point, run_point_on, run_point_seq, run_points, run_points_controlled,
-    run_points_on, PointResult,
-};
+pub use replicate::{derive_seed, run_point_seq, run_points, PointResult};
 pub use simulator::{Simulator, StartDecision};
 
 // Re-export the vocabulary types callers configure with.

@@ -1,12 +1,13 @@
-//! Shared worker pool for replication-level parallelism.
+//! Worker pool for replication-level parallelism.
 //!
 //! Every figure of the paper is a mean over dozens of independent
 //! replications per (strategy, scheduler, load) point. Those replications
 //! are embarrassingly parallel — each one is a pure function of
-//! `(SimConfig, replication seed)` — so the whole workspace shares **one**
-//! pool of worker threads through which every experiment submits its
-//! `Simulator::run` calls, instead of each experiment spinning up its
-//! own scoped threads.
+//! `(SimConfig, replication seed)` — so a caller builds **one** pool of
+//! worker threads and passes it to every batch it runs
+//! ([`crate::replicate::run_points`], [`crate::campaign::run_campaign`]).
+//! There is no process-wide pool: the `procsim` binary builds its pool
+//! in `main` and hands `&pool` to the subcommand.
 //!
 //! Design rules:
 //!
@@ -18,17 +19,14 @@
 //!   and the pool cannot deadlock.
 //! * **Thread count never changes results.** The pool only affects *when*
 //!   a job runs, never what it computes; result ordering is re-imposed by
-//!   the coordinator. `PROCSIM_THREADS=1` is byte-identical to
-//!   `PROCSIM_THREADS=64`.
+//!   the coordinator. A 1-thread pool is byte-identical to a 64-thread one.
 //!
-//! The pool size is resolved, in order, from an explicit
-//! [`configure_global`] call (the CLI's `--threads N`), the
-//! `PROCSIM_THREADS` environment variable, and
+//! [`default_threads`] is the size to use when the caller asked for none:
+//! the `PROCSIM_THREADS` environment variable, else
 //! [`std::thread::available_parallelism`].
 
 use std::collections::VecDeque;
-use std::ops::Deref;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// A unit of work: one closed, `'static` closure (in practice one
 /// simulation replication).
@@ -49,9 +47,6 @@ struct State {
 /// A fixed-size pool of worker threads executing FIFO-submitted jobs.
 ///
 /// Dropping the pool finishes all queued jobs, then joins every worker.
-/// Most callers want the process-wide [`global`] pool rather than a
-/// dedicated instance; dedicated instances exist so tests can pin exact
-/// thread counts (and prove results do not depend on them).
 pub struct WorkerPool {
     shared: Arc<Shared>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -146,29 +141,9 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Either the process-wide pool or a dedicated one; derefs to
-/// [`WorkerPool`] so call sites are agnostic.
-pub enum Pool {
-    /// Borrow of the process-wide shared pool.
-    Global(&'static WorkerPool),
-    /// A dedicated pool owned by the caller (joined on drop).
-    Owned(WorkerPool),
-}
-
-impl Deref for Pool {
-    type Target = WorkerPool;
-    fn deref(&self) -> &WorkerPool {
-        match self {
-            Pool::Global(p) => p,
-            Pool::Owned(p) => p,
-        }
-    }
-}
-
-static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
-
-/// Pool size used when nothing was configured: `PROCSIM_THREADS` if set
-/// to a positive integer, else the machine's available parallelism.
+/// Pool size to use when the caller asked for none (the CLI without
+/// `--threads`): `PROCSIM_THREADS` if set to a positive integer, else the
+/// machine's available parallelism.
 pub fn default_threads() -> usize {
     std::env::var("PROCSIM_THREADS")
         .ok()
@@ -176,39 +151,6 @@ pub fn default_threads() -> usize {
         .filter(|&n| n >= 1)
         .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
         .unwrap_or(4)
-}
-
-/// The process-wide shared worker pool, created on first use with
-/// [`default_threads`] workers.
-pub fn global() -> &'static WorkerPool {
-    GLOBAL.get_or_init(|| WorkerPool::new(default_threads()))
-}
-
-/// Initializes the global pool with exactly `threads` workers.
-///
-/// Returns `true` if the global pool now has that many workers — either
-/// because this call created it or it already matched. Returns `false`
-/// if the pool was already created with a different size (it is left
-/// untouched; callers wanting an exact size then use [`pool_with`]).
-pub fn configure_global(threads: usize) -> bool {
-    let threads = threads.max(1);
-    GLOBAL.get_or_init(|| WorkerPool::new(threads)).threads() == threads
-}
-
-/// Resolves a pool for a requested thread count: `None` borrows the
-/// shared global pool; an explicit count borrows the global pool only
-/// if it already exists with that exact size, and otherwise gets a
-/// dedicated pool. An explicit request never creates or pins the global
-/// pool — use [`configure_global`] for that (the CLIs do, so their
-/// `--threads` sizes the pool every later call shares).
-pub fn pool_with(threads: Option<usize>) -> Pool {
-    match threads {
-        None => Pool::Global(global()),
-        Some(n) => match GLOBAL.get() {
-            Some(g) if g.threads() == n.max(1) => Pool::Global(g),
-            _ => Pool::Owned(WorkerPool::new(n)),
-        },
-    }
 }
 
 #[cfg(test)]
@@ -291,8 +233,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_with_none_is_global() {
-        let p = pool_with(None);
-        assert!(p.threads() >= 1);
+    fn default_threads_is_positive() {
+        assert!(default_threads() >= 1);
     }
 }

@@ -1,14 +1,19 @@
 //! Replication driver: run experimental points to the paper's precision
-//! criterion, in parallel over a shared worker pool.
+//! criterion, in parallel over the caller's worker pool.
 //!
 //! Each *point* (one strategy × scheduler × workload × load combination)
 //! is estimated by independent replications until the 95 % CI relative
 //! error of the mean turnaround is at most 5 % (the paper's §5 protocol).
+//! There is one parallel entry point, [`run_points`], which takes the
+//! [`WorkerPool`] to run on and a batch of points (one point is a batch
+//! of one), and one oracle, [`run_point_seq`], which runs a point's
+//! replications one at a time on the calling thread.
+//!
 //! Replications are pure functions of `(SimConfig, replication seed)`, so
-//! they execute concurrently on the [`crate::pool`] worker pool; the
-//! coordinator here re-imposes replication order when feeding the
-//! [`Replications`] controller, which makes the result **bit-identical to
-//! the sequential path for any thread count**:
+//! they execute concurrently on the pool; the coordinator here re-imposes
+//! replication order when feeding the [`Replications`] controller, which
+//! makes the result **bit-identical to the sequential path for any thread
+//! count**:
 //!
 //! 1. submit the first `min_reps` replications of every point up front,
 //! 2. record finished replications strictly in replication-index order
@@ -24,7 +29,7 @@
 
 use crate::config::SimConfig;
 use crate::metrics::RunMetrics;
-use crate::pool::{self, WorkerPool};
+use crate::pool::WorkerPool;
 use crate::simulator::Simulator;
 use desim::SimRng;
 use simstats::{Replications, StopReason};
@@ -35,7 +40,7 @@ use std::sync::{mpsc, Arc};
 ///
 /// Used at both levels of the experiment hierarchy: a figure derives one
 /// *point seed* per (series, load) from the figure seed, and
-/// [`run_point`] derives one *replication seed* per replication from the
+/// [`run_points`] derives one *replication seed* per replication from the
 /// point seed. Deriving rather than offsetting (`seed + index`, or the
 /// raw replication counter) guarantees streams never collide across
 /// levels.
@@ -130,9 +135,12 @@ struct PointState {
 /// All points share the pool: their replications interleave freely, so a
 /// slow point cannot serialize the batch. Output is bit-identical to
 /// calling [`run_point_seq`] on each config, whatever `pool.threads()`
-/// is. Must not be called from inside a pool worker (workers are not
-/// reentrant); call it from a coordinator thread such as `main`.
-pub fn run_points_on(
+/// is. Each point replicates until the paper's criterion (95 % CI
+/// relative error of the mean turnaround at most 5 %) holds, bounded by
+/// `[min_reps, max_reps]`. Must not be called from inside a pool worker
+/// (workers are not reentrant); call it from a coordinator thread such
+/// as `main`.
+pub fn run_points(
     pool: &WorkerPool,
     cfgs: &[SimConfig],
     min_reps: usize,
@@ -142,15 +150,14 @@ pub fn run_points_on(
         (2..=max_reps).contains(&min_reps),
         "need 2 <= min_reps <= max_reps"
     );
-    run_points_controlled(pool, cfgs, || Replications::paper(6, min_reps, max_reps))
+    run_controlled(pool, cfgs, || Replications::paper(6, min_reps, max_reps))
 }
 
-/// [`run_points_on`] with a caller-supplied replication controller
-/// (e.g. a non-paper precision target). `make_ctl` must produce a
-/// controller over the 6 response variables of
-/// [`RunMetrics::response_vector`]; one fresh controller is created per
-/// point.
-pub fn run_points_controlled(
+/// The body of [`run_points`], with the replication controller supplied
+/// by `make_ctl` (one fresh controller per point, over the 6 response
+/// variables of [`RunMetrics::response_vector`]). Tests use it with a
+/// precision target that short runs can reach.
+fn run_controlled(
     pool: &WorkerPool,
     cfgs: &[SimConfig],
     make_ctl: impl Fn() -> Replications,
@@ -253,34 +260,6 @@ fn submit_wave(
     }
 }
 
-/// Runs a batch of points on the shared [`pool::global`] worker pool.
-/// See [`run_points_on`].
-pub fn run_points(cfgs: &[SimConfig], min_reps: usize, max_reps: usize) -> Vec<PointResult> {
-    run_points_on(pool::global(), cfgs, min_reps, max_reps)
-}
-
-/// Runs independent replications of `cfg` until the 95 % CI relative
-/// error of the mean turnaround is at most 5 % (the paper's criterion),
-/// bounded by `[min_reps, max_reps]`. Replications execute in parallel
-/// on the shared worker pool; the result is identical to [`run_point_seq`].
-pub fn run_point(cfg: &SimConfig, min_reps: usize, max_reps: usize) -> PointResult {
-    run_point_on(pool::global(), cfg, min_reps, max_reps)
-}
-
-/// [`run_point`] on an explicit pool (thread count still cannot change
-/// the result; tests use this to prove it).
-pub fn run_point_on(
-    pool: &WorkerPool,
-    cfg: &SimConfig,
-    min_reps: usize,
-    max_reps: usize,
-) -> PointResult {
-    run_points_on(pool, std::slice::from_ref(cfg), min_reps, max_reps)
-        .pop()
-        // procsim-lint: allow(D004): invariant: run_points_on returns exactly one result per input config
-        .expect("invariant: one result per config")
-}
-
 /// The sequential reference path: one replication at a time on the
 /// calling thread. Kept as the semantic definition the parallel engine
 /// must match bit-for-bit (and for contexts without a pool).
@@ -322,7 +301,9 @@ mod tests {
     #[test]
     fn point_converges_or_hits_budget() {
         let cfg = small_cfg(0.002, 99);
-        let p = run_point(&cfg, 3, 6);
+        let p = run_points(&WorkerPool::new(2), std::slice::from_ref(&cfg), 3, 6)
+            .pop()
+            .unwrap();
         assert!(p.replications >= 3 && p.replications <= 6);
         assert!(p.turnaround() > 0.0);
         assert!(p.utilization() > 0.0 && p.utilization() <= 1.0);
@@ -346,10 +327,44 @@ mod tests {
     #[test]
     fn batch_preserves_input_order() {
         let cfgs = [small_cfg(0.001, 1), small_cfg(0.002, 2), small_cfg(0.003, 3)];
-        let ps = run_points(&cfgs, 2, 3);
+        let ps = run_points(&WorkerPool::new(2), &cfgs, 2, 3);
         assert_eq!(ps.len(), 3);
         for (p, cfg) in ps.iter().zip(&cfgs) {
             assert!((p.load - cfg.workload.load()).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn converged_stop_unchanged_under_parallel_execution() {
+        // A loose precision target the short runs CAN reach, so the
+        // CI-width criterion is what stops replication — early stopping
+        // must not be washed out by the wave over-submission (extra
+        // results are discarded, not recorded). The paper's 5 % target
+        // needs 1000-job runs to converge, far too slow for a unit test.
+        let mut steady = small_cfg(0.001, 31);
+        steady.measured_jobs = 70;
+        let make_ctl = || Replications::new(6, 3, 30, 0.5);
+        // sequential reference with the same controller
+        let mut ctl = make_ctl();
+        let mut rep = 0u64;
+        while ctl.needs_more() {
+            ctl.record(&Simulator::new(&steady, rep).run().response_vector());
+            rep += 1;
+        }
+        assert_eq!(
+            ctl.stop_reason(),
+            StopReason::Converged,
+            "want an early stop case"
+        );
+        assert!(ctl.count() < 30, "converged before budget");
+        let par = run_controlled(&WorkerPool::new(8), std::slice::from_ref(&steady), make_ctl)
+            .pop()
+            .unwrap();
+        assert_eq!(par.stop, StopReason::Converged);
+        assert_eq!(par.replications, ctl.count());
+        for i in 0..6 {
+            assert_eq!(par.means[i], ctl.mean(i));
+            assert_eq!(par.ci95[i], ctl.ci95(i));
         }
     }
 }

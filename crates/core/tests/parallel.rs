@@ -4,10 +4,9 @@
 //! reference path.
 
 use procsim_core::{
-    derive_seed, run_point_on, run_point_seq, run_points_controlled, run_points_on, SchedulerKind,
-    SideDist, SimConfig, Simulator, StrategyKind, WorkerPool, WorkloadSpec,
+    derive_seed, run_point_seq, run_points, PointResult, SchedulerKind, SideDist, SimConfig,
+    StrategyKind, WorkerPool, WorkloadSpec,
 };
-use simstats::{Replications, StopReason};
 
 fn cfg(strategy: StrategyKind, load: f64, seed: u64) -> SimConfig {
     let mut cfg = SimConfig::paper(
@@ -25,13 +24,18 @@ fn cfg(strategy: StrategyKind, load: f64, seed: u64) -> SimConfig {
     cfg
 }
 
+/// One point on `pool`: a batch of one.
+fn one_point(pool: &WorkerPool, cfg: &SimConfig, min_reps: usize, max_reps: usize) -> PointResult {
+    run_points(pool, std::slice::from_ref(cfg), min_reps, max_reps).remove(0)
+}
+
 #[test]
 fn run_point_identical_for_1_2_and_8_threads() {
     let c = cfg(StrategyKind::Gabl, 0.002, 1234);
     let reference = run_point_seq(&c, 3, 8);
     for threads in [1, 2, 8] {
         let pool = WorkerPool::new(threads);
-        let p = run_point_on(&pool, &c, 3, 8);
+        let p = one_point(&pool, &c, 3, 8);
         assert_eq!(p.means, reference.means, "means @ {threads} threads");
         assert_eq!(p.ci95, reference.ci95, "ci95 @ {threads} threads");
         assert_eq!(
@@ -47,42 +51,13 @@ fn run_point_identical_for_1_2_and_8_threads() {
 #[test]
 fn stop_reason_unchanged_under_parallel_execution() {
     // Budget stop: max_reps too small for a 5 % CI on a short noisy run.
+    // (The converged-stop half needs a looser controller than the paper's
+    // and lives in `replicate`'s unit tests.)
     let noisy = cfg(StrategyKind::Mbs, 0.004, 77);
     let seq = run_point_seq(&noisy, 2, 3);
-    let pool = WorkerPool::new(8);
-    let par = run_point_on(&pool, &noisy, 2, 3);
+    let par = one_point(&WorkerPool::new(8), &noisy, 2, 3);
     assert_eq!(par.stop, seq.stop);
     assert_eq!(par.replications, seq.replications);
-
-    // Converged stop: a loose precision target the short runs CAN reach,
-    // so the CI-width criterion is what stops replication — early
-    // stopping must not be washed out by the wave over-submission (extra
-    // results are discarded, not recorded). The paper's 5 % target needs
-    // 1000-job runs to converge, far too slow for a unit test.
-    let steady = cfg(StrategyKind::Gabl, 0.001, 31);
-    let make_ctl = || Replications::new(6, 3, 30, 0.5);
-    // sequential reference with the same controller
-    let mut ctl = make_ctl();
-    let mut rep = 0u64;
-    while ctl.needs_more() {
-        ctl.record(&Simulator::new(&steady, rep).run().response_vector());
-        rep += 1;
-    }
-    assert_eq!(
-        ctl.stop_reason(),
-        StopReason::Converged,
-        "want an early stop case"
-    );
-    assert!(ctl.count() < 30, "converged before budget");
-    let par = run_points_controlled(&pool, std::slice::from_ref(&steady), make_ctl)
-        .pop()
-        .unwrap();
-    assert_eq!(par.stop, StopReason::Converged);
-    assert_eq!(par.replications, ctl.count());
-    for i in 0..6 {
-        assert_eq!(par.means[i], ctl.mean(i));
-        assert_eq!(par.ci95[i], ctl.ci95(i));
-    }
 }
 
 #[test]
@@ -100,7 +75,7 @@ fn batch_of_points_matches_sequential_at_any_thread_count() {
     let reference: Vec<_> = cfgs.iter().map(|c| run_point_seq(c, 2, 4)).collect();
     for threads in [1, 3] {
         let pool = WorkerPool::new(threads);
-        let batch = run_points_on(&pool, &cfgs, 2, 4);
+        let batch = run_points(&pool, &cfgs, 2, 4);
         assert_eq!(batch.len(), reference.len());
         for (b, r) in batch.iter().zip(&reference) {
             assert_eq!(b.means, r.means, "@ {threads} threads");

@@ -4,7 +4,7 @@
 //! expected mesh-vs-torus physics holds under paired seeds.
 
 use procsim_core::{
-    run_points_on, Simulator, SimConfig, StrategyKind, TopologyKind, WorkerPool, WorkloadSpec,
+    run_points, Simulator, SimConfig, StrategyKind, TopologyKind, WorkerPool, WorkloadSpec,
 };
 use mesh_sched::SchedulerKind;
 use simstats::StopReason;
@@ -32,7 +32,7 @@ fn cfg(topology: TopologyKind, strategy: StrategyKind, load: f64, seed: u64) -> 
 #[test]
 fn torus_point_metrics_and_stop_reason_are_sane() {
     let pool = WorkerPool::new(2);
-    let points = run_points_on(
+    let points = run_points(
         &pool,
         &[cfg(TopologyKind::Torus, StrategyKind::Gabl, 0.002, 77)],
         2,
@@ -75,8 +75,8 @@ fn torus_batch_is_thread_count_invariant() {
                 .map(move |load| cfg(t, StrategyKind::Gabl, load, 0xBEEF))
         })
         .collect();
-    let p1 = run_points_on(&WorkerPool::new(1), &cfgs, 2, 3);
-    let p4 = run_points_on(&WorkerPool::new(4), &cfgs, 2, 3);
+    let p1 = run_points(&WorkerPool::new(1), &cfgs, 2, 3);
+    let p4 = run_points(&WorkerPool::new(4), &cfgs, 2, 3);
     assert_eq!(p1.len(), p4.len());
     for (a, b) in p1.iter().zip(&p4) {
         assert_eq!(a.means, b.means, "thread count changed results");
@@ -116,7 +116,7 @@ fn torus_outperforms_mesh_when_saturated() {
     let load = 0.03;
     let run = |t| {
         let pool = WorkerPool::new(2);
-        run_points_on(&pool, &[cfg(t, StrategyKind::Mbs, load, seed)], 3, 3)
+        run_points(&pool, &[cfg(t, StrategyKind::Mbs, load, seed)], 3, 3)
             .pop()
             .unwrap()
     };

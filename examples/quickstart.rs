@@ -6,7 +6,7 @@
 //! ```
 
 use procsim::{
-    run_point, SchedulerKind, SideDist, SimConfig, StrategyKind, WorkloadSpec,
+    pool, run_points, SchedulerKind, SideDist, SimConfig, StrategyKind, WorkerPool, WorkloadSpec,
 };
 
 fn main() {
@@ -19,6 +19,7 @@ fn main() {
         "series", "turnaround", "service", "util", "latency", "blocking", "reps"
     );
 
+    let mut cfgs = Vec::new();
     for sched in SchedulerKind::PAPER {
         for strat in StrategyKind::PAPER {
             let mut cfg = SimConfig::paper(
@@ -31,22 +32,26 @@ fn main() {
                 },
                 2024,
             );
-            // quick demo settings; the bench harness uses the paper's
+            // quick demo settings; the figure scenarios use the paper's
             // full 1000-job runs
             cfg.warmup_jobs = 100;
             cfg.measured_jobs = 400;
-            let p = run_point(&cfg, 3, 8);
-            println!(
-                "{:<16} {:>12.1} {:>10.1} {:>8.3} {:>10.1} {:>10.1} {:>6}",
-                p.label,
-                p.turnaround(),
-                p.service(),
-                p.utilization(),
-                p.latency(),
-                p.blocking(),
-                p.replications
-            );
+            cfgs.push(cfg);
         }
+    }
+    // one batch: every point's replications share one pool
+    let pool = WorkerPool::new(pool::default_threads());
+    for p in run_points(&pool, &cfgs, 3, 8) {
+        println!(
+            "{:<16} {:>12.1} {:>10.1} {:>8.3} {:>10.1} {:>10.1} {:>6}",
+            p.label,
+            p.turnaround(),
+            p.service(),
+            p.utilization(),
+            p.latency(),
+            p.blocking(),
+            p.replications
+        );
     }
     println!("\nExpected ranking (paper): GABL best on most metrics, MBS worst;");
     println!("for a fixed strategy, SSD improves turnaround over FCFS.");

@@ -15,7 +15,7 @@
 //!
 //! ```
 //! use procsim::{
-//!     run_point, SchedulerKind, SimConfig, StrategyKind, WorkloadSpec, SideDist,
+//!     run_points, SchedulerKind, SimConfig, StrategyKind, WorkerPool, WorkloadSpec, SideDist,
 //! };
 //!
 //! // GABL under SSD on the paper's 16x22 mesh, stochastic uniform
@@ -28,7 +28,10 @@
 //! );
 //! cfg.warmup_jobs = 10;
 //! cfg.measured_jobs = 60;
-//! let point = run_point(&cfg, 3, 5);
+//! // replications run in parallel on a pool the caller owns; the thread
+//! // count never changes the result
+//! let pool = WorkerPool::new(2);
+//! let point = &run_points(&pool, &[cfg], 3, 5)[0];
 //! assert!(point.turnaround() > 0.0);
 //! assert!(point.utilization() > 0.0 && point.utilization() <= 1.0);
 //! ```
@@ -59,10 +62,9 @@ pub use workload::{
 
 // --- the integrated simulator ----------------------------------------------
 pub use procsim_core::{
-    cached_count, derive_seed, expand, pool, run_campaign, run_point, run_point_on, run_point_seq,
-    run_points, run_points_on, CampaignError, CampaignOptions, CampaignOutcome, CampaignPoint,
-    PointResult, PointSettings, RunMetrics, Scenario, ScenarioError, SimConfig, Simulator,
-    WorkerPool, WorkloadSpec,
+    cached_count, derive_seed, expand, pool, run_campaign, run_point_seq, run_points,
+    CampaignError, CampaignOptions, CampaignOutcome, CampaignPoint, PointResult, PointSettings,
+    RunMetrics, Scenario, ScenarioError, SimConfig, Simulator, WorkerPool, WorkloadSpec,
 };
 
 /// The mesh dimensions used throughout the paper (the 352-node SDSC

@@ -26,15 +26,18 @@
 //! `trace` replays an SWF archive file at a target **offered load**
 //! (`--load 0.7` = the scaled trace occupies 70 % of machine capacity in
 //! its own time domain; see `docs/WORKLOADS.md` for the math) and writes
-//! one CSV row per (strategy, load) point. Replications run in parallel
-//! on the shared worker pool; `--threads N` (or the `PROCSIM_THREADS`
-//! environment variable) sets its size. The thread count never changes
-//! results, only wall-clock time.
+//! one CSV row per (strategy, load) point.
+//!
+//! `main` builds the process's one worker pool and passes it to the
+//! subcommand: `--threads N` sets its size, else the `PROCSIM_THREADS`
+//! environment variable, else the machine's available parallelism. The
+//! thread count never changes results, only wall-clock time.
 
 use procsim::{
-    cached_count, derive_seed, expand, run_campaign, run_point, run_points, write_swf_to,
+    cached_count, derive_seed, expand, pool, run_campaign, run_points, write_swf_to,
     CampaignOptions, Cm5Model, ParagonModel, PointResult, PointSettings, Scenario, SchedulerKind,
-    SimConfig, SimRng, StopReason, StrategyKind, TopologyKind, TraceWorkload, WorkloadSpec,
+    SimConfig, SimRng, StopReason, StrategyKind, TopologyKind, TraceWorkload, WorkerPool,
+    WorkloadSpec,
 };
 use procsim_core::scenario::{Value, WorkloadName};
 use std::io::Write;
@@ -134,6 +137,16 @@ impl Args {
                 .parse()
                 .unwrap_or_else(|e| self.usage_error(&format!("bad --{key} '{s}': {e}"))),
         }
+    }
+
+    /// [`Args::num`] for a count: one below `min` is a usage error, never
+    /// silently clamped.
+    fn count(&self, key: &str, default: usize, min: usize) -> usize {
+        let n = self.num(key, default);
+        if n < min {
+            self.usage_error(&format!("--{key} must be at least {min}"));
+        }
+        n
     }
 }
 
@@ -269,8 +282,8 @@ fn strategy_stream(label: &str) -> u64 {
 
 /// `procsim trace <file.swf>`: replay an SWF trace at a target offered
 /// load. Every (strategy) series is one experimental point; all points'
-/// replications run as a single batch on the shared worker pool, so the
-/// CSV is bit-identical at any thread count.
+/// replications run as a single batch on `pool`, so the CSV is
+/// bit-identical at any thread count.
 ///
 /// The trace is opened **streaming** ([`TraceWorkload::open`]): one
 /// validating pass computes the scaling statistics, and replay re-reads
@@ -278,7 +291,7 @@ fn strategy_stream(label: &str) -> u64 {
 /// `gen-trace`-produced million-job fixtures replay without swapping.
 /// `--reps 1` runs a single replication per strategy (no confidence
 /// intervals) — the stress-replay mode CI's smoke step uses.
-fn run_trace(a: &Args, reps: usize) {
+fn run_trace(a: &Args, pool: &WorkerPool, reps: usize) {
     let path = a
         .positional
         .first()
@@ -307,7 +320,7 @@ fn run_trace(a: &Args, reps: usize) {
     };
     let scheduler = scheduler_of(a.map.get("scheduler").map(|s| s.as_str()).unwrap_or("fcfs"));
     let seed: u64 = a.num("seed", 42);
-    let req_jobs: usize = a.num("jobs", 400);
+    let req_jobs = a.count("jobs", 400, 1);
     let trace = TraceWorkload::open(path).unwrap_or_else(|e| die(&e.to_string()));
     let (mesh_w, mesh_l) = procsim::PAPER_MESH;
     let machine = mesh_w as u32 * mesh_l as u32;
@@ -362,7 +375,7 @@ fn run_trace(a: &Args, reps: usize) {
         })
         .collect();
     // one batch: every strategy's replications share the worker pool
-    let points: Vec<PointResult> = if reps <= 1 {
+    let points: Vec<PointResult> = if reps == 1 {
         eprintln!("note: --reps 1 runs one replication per strategy (no confidence intervals)");
         cfgs.iter()
             .map(|cfg| {
@@ -378,7 +391,7 @@ fn run_trace(a: &Args, reps: usize) {
             })
             .collect()
     } else {
-        run_points(&cfgs, reps, reps * 2)
+        run_points(pool, &cfgs, reps, reps * 2)
     };
     for p in &points {
         print_result(p);
@@ -447,7 +460,8 @@ fn run_gen_trace(a: &Args) {
         .first()
         .unwrap_or_else(|| die("gen-trace needs an output .swf path"));
     let model = a.map.get("model").map(|s| s.as_str()).unwrap_or("paragon");
-    let jobs: usize = a.num("jobs", 600);
+    // a trace needs at least one inter-arrival time
+    let jobs = a.count("jobs", 600, 2);
     let seed: u64 = a.num("seed", 2008);
     if let Some(dir) = std::path::Path::new(out).parent() {
         if !dir.as_os_str().is_empty() {
@@ -489,11 +503,11 @@ fn run_gen_trace(a: &Args) {
 
 /// `procsim campaign <scenario.toml>`: expand a declarative scenario
 /// into its cross-product of points, serve what the on-disk cache
-/// already has, run the rest on the shared worker pool, and merge
-/// everything into one CSV. Interrupt it freely: a rerun resumes from
-/// the cache and the merged CSV is byte-identical to an uninterrupted
-/// run at any thread count (see `docs/CAMPAIGNS.md`).
-fn run_campaign_cmd(a: &Args) {
+/// already has, run the rest on `pool`, and merge everything into one
+/// CSV. Interrupt it freely: a rerun resumes from the cache and the
+/// merged CSV is byte-identical to an uninterrupted run at any thread
+/// count (see `docs/CAMPAIGNS.md`).
+fn run_campaign_cmd(a: &Args, pool: &WorkerPool) {
     let path = a
         .positional
         .first()
@@ -546,12 +560,9 @@ fn run_campaign_cmd(a: &Args) {
         return;
     }
 
-    let opts = CampaignOptions {
-        threads: None, // the shared pool; sized by --threads / PROCSIM_THREADS
-        cache_dir,
-        force,
-    };
-    let outcome = run_campaign(&scenario, &opts).unwrap_or_else(|e| die(&e.to_string()));
+    let opts = CampaignOptions { cache_dir, force };
+    let outcome =
+        run_campaign(pool, &scenario, &points, &opts).unwrap_or_else(|e| die(&e.to_string()));
     if let Some(dir) = std::path::Path::new(&csv_path).parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir)
@@ -590,7 +601,7 @@ fn print_help() {
     println!("traces replay as a streaming pipeline (bounded memory, any length);");
     println!("--reps 1 runs one replication per strategy (stress mode, no CIs)");
     println!();
-    println!("replications run on a shared worker pool; size it with --threads N");
+    println!("replications run on one worker pool; size it with --threads N");
     println!("or PROCSIM_THREADS=N (results are identical for any thread count)");
 }
 
@@ -605,32 +616,28 @@ fn main() {
         die(&format!("unknown command '{name}'"));
     };
     let a = parse_args(cmd, &argv[1..]);
-    let reps: usize = a.num("reps", 3);
-    if a.map.contains_key("threads") {
-        let n: usize = a.num("threads", 1);
-        if !procsim::pool::configure_global(n.max(1)) {
-            eprintln!("warning: worker pool already sized; --threads {n} ignored");
-        }
+    if cmd.name == "gen-trace" {
+        return run_gen_trace(&a); // writes a file; simulates nothing
     }
+    let reps = a.count("reps", 3, 1);
+    let pool = WorkerPool::new(a.count("threads", pool::default_threads(), 1));
 
     match cmd.name {
-        "run" => {
-            let cfg = point_config(&a, a.map.get("load").map(String::as_str));
-            print_result(&run_point(&cfg, reps.max(2), reps.max(2) * 2));
-        }
-        "sweep" => {
-            let loads = a
-                .map
-                .get("loads")
-                .unwrap_or_else(|| a.usage_error("sweep needs --loads a,b,c"));
+        "run" | "sweep" => {
+            // `run` has no --loads flag; `sweep` has no --load flag
+            let loads: Vec<Option<&str>> = match a.map.get("loads") {
+                Some(loads) => loads.split(',').map(Some).collect(),
+                None if cmd.name == "run" => vec![a.map.get("load").map(String::as_str)],
+                None => a.usage_error("sweep needs --loads a,b,c"),
+            };
             // one batch: every load's replications share the worker pool
-            let cfgs: Vec<SimConfig> = loads.split(',').map(|l| point_config(&a, Some(l))).collect();
-            for p in run_points(&cfgs, reps.max(2), reps.max(2) * 2) {
+            let cfgs: Vec<SimConfig> = loads.into_iter().map(|l| point_config(&a, l)).collect();
+            let reps = reps.max(2);
+            for p in run_points(&pool, &cfgs, reps, reps * 2) {
                 print_result(&p);
             }
         }
-        "trace" => run_trace(&a, reps),
-        "gen-trace" => run_gen_trace(&a),
-        _ => run_campaign_cmd(&a),
+        "trace" => run_trace(&a, &pool, reps),
+        _ => run_campaign_cmd(&a, &pool),
     }
 }

@@ -1,12 +1,14 @@
 //! The CLI rejects what it does not understand: a misspelled flag, a
-//! value that is not a number, a missing or repeated value and a stray
-//! argument all exit 2 with the subcommand's usage, never 0 (silently
-//! ignored) and never 101 (a panic). Every case fails while parsing, so
-//! none of them simulates anything.
+//! value that is not a number, a count too small to mean anything, a
+//! missing or repeated value and a stray argument all exit 2 with the
+//! subcommand's usage, never 0 (silently ignored or clamped) and never
+//! 101 (a panic). Every case fails before simulating or writing anything.
 
+use std::path::Path;
 use std::process::{Command, Output};
 
 const SAMPLE: &str = "results/traces/sdsc_sample.swf";
+const SMOKE: &str = "scenarios/smoke.toml";
 
 fn procsim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_procsim"))
@@ -80,6 +82,52 @@ fn bad_numbers_exit_2_instead_of_panicking() {
         &["campaign", "scenarios/smoke.toml", "--threads", "many"],
         "bad --threads 'many'",
     );
+}
+
+/// A per-test path under the temp dir that does not exist yet.
+fn fresh_path(name: &str) -> String {
+    let path = std::env::temp_dir().join(format!("procsim_strict_{}_{name}", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    path.to_string_lossy().into_owned()
+}
+
+#[test]
+fn gen_trace_rejects_fewer_than_two_jobs_before_writing() {
+    let out = fresh_path("short.swf");
+    for jobs in ["0", "1"] {
+        let args = ["gen-trace", &out, "--jobs", jobs];
+        assert_usage_error(&args, "--jobs must be at least 2");
+        assert!(!Path::new(&out).exists(), "--jobs {jobs}: file written");
+    }
+}
+
+#[test]
+fn trace_rejects_zero_jobs() {
+    // nothing would be measured: every metric in the CSV would be 0
+    let csv = fresh_path("zero_jobs.csv");
+    let args = ["trace", SAMPLE, "--jobs", "0", "--csv", &csv];
+    assert_usage_error(&args, "--jobs must be at least 1");
+    assert!(!Path::new(&csv).exists(), "a CSV of zeros was written");
+}
+
+#[test]
+fn zero_reps_and_zero_threads_exit_2_instead_of_clamping() {
+    // small --jobs so that a binary which clamps instead fails fast
+    let csv = fresh_path("zero_reps.csv");
+    let run = ["run", "--reps", "0", "--jobs", "20"];
+    let sweep = ["sweep", "--loads", "0.001", "--reps", "0", "--jobs", "20"];
+    let trace = [
+        "trace", SAMPLE, "--reps", "0", "--jobs", "20", "--csv", &csv,
+    ];
+    for args in [&run[..], &sweep, &trace] {
+        assert_usage_error(args, "--reps must be at least 1");
+    }
+    assert!(!Path::new(&csv).exists(), "a CSV was written");
+    let run = ["run", "--threads", "0", "--jobs", "20"];
+    let campaign = ["campaign", SMOKE, "--dry-run", "--threads", "0"];
+    for args in [&run[..], &campaign] {
+        assert_usage_error(args, "--threads must be at least 1");
+    }
 }
 
 #[test]

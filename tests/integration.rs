@@ -2,9 +2,15 @@
 //! asserting the paper's qualitative results at test-friendly scale.
 
 use procsim::{
-    run_point, ParagonModel, SchedulerKind, SideDist, SimConfig, Simulator, StrategyKind,
-    WorkloadSpec, PageIndexing,
+    run_points, ParagonModel, PointResult, SchedulerKind, SideDist, SimConfig, Simulator,
+    StrategyKind, WorkerPool, WorkloadSpec, PageIndexing,
 };
+
+/// One point, replicated on a small pool of its own.
+fn one_point(cfg: &SimConfig, min_reps: usize, max_reps: usize) -> PointResult {
+    let pool = WorkerPool::new(2);
+    run_points(&pool, std::slice::from_ref(cfg), min_reps, max_reps).remove(0)
+}
 
 fn stochastic(load: f64) -> WorkloadSpec {
     WorkloadSpec::Stochastic {
@@ -45,7 +51,7 @@ fn trace_ranking_gabl_first() {
         let mut cfg = SimConfig::paper(strategy, scheduler, trace(0.001), 2718);
         cfg.warmup_jobs = 100;
         cfg.measured_jobs = 300;
-        run_point(&cfg, 4, 4)
+        one_point(&cfg, 4, 4)
     };
     let g = point(StrategyKind::Gabl, SchedulerKind::Fcfs);
     let p = point(PAGING0, SchedulerKind::Fcfs);
@@ -175,7 +181,7 @@ fn run_point_full_pipeline() {
     let mut cfg = SimConfig::paper(StrategyKind::Mbs, SchedulerKind::Ssd, stochastic(0.0006), 11);
     cfg.warmup_jobs = 20;
     cfg.measured_jobs = 100;
-    let p = run_point(&cfg, 3, 5);
+    let p = one_point(&cfg, 3, 5);
     assert_eq!(p.label, "MBS(SSD)");
     assert!(p.replications >= 3);
     assert!(p.turnaround() >= p.service());
