@@ -57,6 +57,22 @@ struct DualEngine {
     next: usize,
     now: Time,
     label: String,
+    /// Optional record of the subject's same-cycle wakes.
+    watch: Option<WakeWatch>,
+}
+
+/// The subject's same-cycle wakes, spotted from its state at successive
+/// checkpoints. Only exact when checkpoints are one cycle apart
+/// ([`Drive::Stepped`]).
+#[derive(Default)]
+struct WakeWatch {
+    /// Each wake seen so far, as (rr, releaser position, waiter position).
+    wakes: Vec<(usize, usize, usize)>,
+    /// Largest active-list length seen at a checkpoint.
+    peak_active: usize,
+    /// Active list, channel owners and awaited channels at the last
+    /// checkpoint.
+    last: (Vec<u32>, Vec<u32>, Vec<Option<u32>>),
 }
 
 impl DualEngine {
@@ -68,6 +84,7 @@ impl DualEngine {
             next: 0,
             now: 0,
             label,
+            watch: None,
         }
     }
 
@@ -87,6 +104,24 @@ impl DualEngine {
         let a: ArbSnapshot = self.reference.arb_snapshot();
         let b: ArbSnapshot = self.subject.arb_snapshot();
         assert_eq!(a, b, "{}: snapshots diverge at cycle {}", self.label, self.now);
+        if let Some(watch) = &mut self.watch {
+            // a header that waited on a channel at the last boundary and
+            // owns it now was woken by the channel's owner then, and took
+            // it in the same cycle
+            let (active, owner, awaited) = &watch.last;
+            for (p, ch) in awaited.iter().enumerate() {
+                let Some(ch) = ch.map(|c| c as usize) else {
+                    continue;
+                };
+                if b.owner[ch] == active[p] {
+                    let by = active.iter().position(|&s| s == owner[ch]);
+                    let by = by.expect("the releaser was active");
+                    watch.wakes.push((b.rr, by, p));
+                }
+            }
+            watch.peak_active = watch.peak_active.max(b.active.len());
+            watch.last = (b.active, b.owner, self.subject.awaited_channels());
+        }
         assert_eq!(
             self.reference.queued_count(),
             self.subject.queued_count(),
@@ -114,6 +149,11 @@ impl DualEngine {
     /// Runs the script to quiescence under `drive`; returns the (verified
     /// identical) completion stream.
     fn run(mut self, drive: Drive) -> Vec<Completion> {
+        self.run_in_place(drive)
+    }
+
+    /// [`DualEngine::run`] that keeps the engines for inspection.
+    fn run_in_place(&mut self, drive: Drive) -> Vec<Completion> {
         let mut out = Vec::new();
         let mut rng = SimRng::new(match drive {
             Drive::Mixed(seed) => seed,
@@ -234,7 +274,7 @@ fn drive_for(sel: u64, seed: u64) -> Drive {
 /// spread across all three drive modes, each run checked snapshot-for-
 /// snapshot at every subject checkpoint — at four routing delays, since
 /// `ts` sets how routing-delay timers interleave with drainers and wakes
-/// in one cycle's activation list (`ts = 0` fires a header's timer on
+/// in one cycle's walk (`ts = 0` fires a header's timer on
 /// the very next cycle).
 #[test]
 fn battery_200_seeds_mesh_and_torus() {
@@ -415,14 +455,15 @@ fn parked_senders_do_not_block_compression() {
     assert_eq!(n.counters().delivered, 3);
 }
 
-/// A wake that lands *between* two already-sorted actors. At cycle 15
-/// (`rr` 0, active order [P0, P2, P1], so keys 0, 1, 2) P0's tail frees
-/// the west link out of (4,4). P2 has been waiting on that link, and its
-/// key 1 is above P0's, so it wakes into this same cycle. P1's
-/// routing-delay timer also fires this cycle, for the same link, with
-/// key 2. The engine must run P2 before P1 (the reference's scan
-/// order), so P2 takes the link and P1 blocks. Running the mid-cycle
-/// wakes only after the whole sorted list would hand the link to P1.
+/// A wake that lands *between* two actors marked at the start of the
+/// cycle. At cycle 15 (`rr` 0, active order [P0, P2, P1], so keys 0, 1,
+/// 2) P0's tail frees the west link out of (4,4). P2 has been waiting
+/// on that link, and its key 1 is above P0's, so it wakes into this
+/// same cycle. P1's routing-delay timer also fires this cycle, for the
+/// same link, with key 2. The engine must run P2 before P1 (the
+/// reference's scan order), so P2 takes the link and P1 blocks.
+/// Running the mid-cycle wakes only after the rest of the walk would
+/// hand the link to P1.
 #[test]
 fn mid_cycle_wake_between_sorted_actors_acts_in_key_order() {
     let ts = 1u32;
@@ -460,5 +501,48 @@ fn mid_cycle_wake_between_sorted_actors_acts_in_key_order() {
         let p1 = done.iter().find(|c| c.tag == 1).expect("P1 delivered");
         assert_eq!((p2.delivered_at, p2.blocked), (18, 3));
         assert_eq!((p1.delivered_at, p1.blocked), (27, 3));
+    }
+}
+
+/// The activation bitmap at three words and more. Every node of a 12×12
+/// mesh sends long worms at once, in three waves, so that 144 packets
+/// are in flight together. Compared with the reference at every cycle,
+/// the walk must visit same-cycle wakes that lie in a later bitmap word
+/// than their releaser and wakes that land in the wrapped segment
+/// `[0, rr)`. The test asserts that both kinds of wake happened.
+#[test]
+fn bitmap_walk_spans_words_and_wraps() {
+    let mk = || Topology::new(12, 12);
+    let mut rng = SimRng::new(0xB17_5CA9);
+    let mut script: Script = Vec::new();
+    for wave in 0..3u64 {
+        for y in 0..12u16 {
+            for x in 0..12u16 {
+                let d = Coord::new(rng.index(12) as u16, rng.index(12) as u16);
+                let flits = 8 + rng.index(17) as u32;
+                let tag = wave << 16 | (y * 12 + x) as u64;
+                script.push((wave * 60, Coord::new(x, y), d, flits, tag));
+            }
+        }
+    }
+    for ts in [0u32, 3] {
+        let label = format!("bitmap walk ts={ts}");
+        let mut engines = DualEngine::new(mk, ts, script.clone(), label);
+        engines.watch = Some(WakeWatch::default());
+        let done = engines.run_in_place(Drive::Stepped);
+        assert_eq!(done.len(), script.len());
+        let watch = engines.watch.expect("watched");
+        let (wakes, peak) = (watch.wakes, watch.peak_active);
+        assert!(peak >= 130, "ts={ts}: peak {peak}");
+        assert!(
+            wakes
+                .iter()
+                .any(|&(rr, by, p)| p >> 6 > by >> 6 && (p < rr) == (by < rr)),
+            "ts={ts}: no wake reached a later bitmap word in the releaser's segment"
+        );
+        assert!(
+            wakes.iter().any(|&(rr, _, p)| p < rr),
+            "ts={ts}: no wake landed in [0, rr)"
+        );
     }
 }

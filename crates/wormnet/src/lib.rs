@@ -68,7 +68,7 @@ pub mod routing;
 pub mod topology;
 
 pub use network::{Completion, Network};
-pub use packet::{PacketId, PacketState};
+pub use packet::PacketId;
 pub use pattern::{pattern_messages, Pattern};
 pub use routing::{route, route_into, xy_route};
 pub use topology::{ChannelId, Direction, Topology, TopologyKind};

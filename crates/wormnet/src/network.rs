@@ -30,14 +30,19 @@
 //!   nodes are visited by the injection phase. Injection channels are
 //!   per-node exclusive, so each channel has at most one parked sender.
 //!
-//! Arbitration fairness is preserved exactly. Each cycle gathers its
-//! actors (drainers, due timers, wakes, eager packets) into one
-//! activation list keyed by their place in the reference engine's
-//! rotating scan, sorts it once, and walks it in that order. A channel
-//! freed mid-cycle wakes its waiters into the *same* cycle if and only
-//! if their key comes later; those few wakes sit in a small heap whose
-//! head is merged into the walk. The outcomes are byte-identical,
-//! checked cycle by cycle against the reference in `differential.rs`.
+//! Arbitration fairness is preserved exactly. Each cycle sets one bit
+//! per actor (drainer, due timer, wake, eager packet) in a bitmap over
+//! active-list positions, then walks the set bits from the rotating
+//! head `rr`: positions `[rr, n)` and then `[0, rr)`, which is the
+//! reference engine's scan order. A packet's arbitration key is its
+//! distance from `rr`, read off the position with no division. This is
+//! exact because positions cannot change during the walk: completions
+//! are removed only after it, and injections are appended only after
+//! it. A channel freed mid-cycle wakes its waiters into the *same*
+//! cycle if and only if their key comes later; such a waiter lies ahead
+//! of the walk's cursor, so setting its bit is enough for the walk to
+//! reach it. The outcomes are byte-identical, checked cycle by cycle
+//! against the reference in `differential.rs`.
 //!
 //! # Event compression
 //!
@@ -61,6 +66,9 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 const FREE: u32 = u32::MAX;
+
+/// `inj_node_of` entry of a channel that is not an injection channel.
+const NOT_INJECTION: u32 = u32::MAX;
 
 /// A delivered packet, reported once its tail flit is consumed by the
 /// destination PE.
@@ -178,16 +186,13 @@ pub struct Network {
     drainers: Vec<u32>,
     /// Position of each slot in `drainers` (parallel to `packets`).
     drain_pos: Vec<u32>,
-    /// One cycle's activation list: the eligible packets gathered at the
-    /// start of the movement phase, packed `order_key << 32 | slot` and
-    /// sorted once. Empty between cycles; kept for its capacity.
-    actors: Vec<u64>,
-    /// Packets woken mid-cycle at an arbitration position later than the
-    /// releaser's (same packing as `actors`). They act this cycle,
-    /// merged into the sorted `actors` walk by taking the smaller head.
-    late_wakes: BinaryHeap<Reverse<u64>>,
+    /// One cycle's actors: bit `q` is set when the packet at active-list
+    /// position `q` acts this cycle. Set by the gather and by same-cycle
+    /// wakes, cleared by the walk, so all zero between cycles. Holds at
+    /// least one bit per active position.
+    act_bits: Vec<u64>,
     /// Scratch: active-list positions of the packets that completed this
-    /// cycle.
+    /// cycle, in walk order.
     done_pos: Vec<u32>,
     /// Path buffers of completed packets, reused by [`Network::send`].
     spare_paths: Vec<Vec<ChannelId>>,
@@ -220,6 +225,12 @@ pub struct Network {
     /// share its bandwidth, so at most one worm crossing a physical link
     /// may advance per cycle.
     phys_stamp: Vec<u64>,
+    /// Physical resource of each channel (`Topology::physical_of`,
+    /// tabulated so the bandwidth claim does no division).
+    phys_of: Vec<u32>,
+    /// Node whose injection channel each channel is, or `NOT_INJECTION`
+    /// (`Topology::injection_node_of`, tabulated likewise).
+    inj_node_of: Vec<u32>,
     /// Whether any physical resource is shared (VCs > 1). On the paper's
     /// single-VC mesh every physical resource has exactly one virtual
     /// channel, so a bandwidth claim can never fail and the per-shift
@@ -262,6 +273,15 @@ impl Network {
         let channels = topo.num_channels() as usize;
         let phys = topo.num_physical() as usize;
         let shared_bandwidth = topo.vcs() > 1;
+        let phys_of = (0..topo.num_channels())
+            .map(|c| topo.physical_of(ChannelId(c)))
+            .collect();
+        let inj_node_of = (0..topo.num_channels())
+            .map(|c| {
+                topo.injection_node_of(ChannelId(c))
+                    .unwrap_or(NOT_INJECTION)
+            })
+            .collect();
         Network {
             topo,
             ts,
@@ -278,8 +298,7 @@ impl Network {
             eager: Vec::new(),
             drainers: Vec::new(),
             drain_pos: Vec::new(),
-            actors: Vec::new(),
-            late_wakes: BinaryHeap::new(),
+            act_bits: Vec::new(),
             done_pos: Vec::new(),
             spare_paths: Vec::new(),
             inject_q: vec![VecDeque::new(); nodes],
@@ -292,6 +311,8 @@ impl Network {
             counters: NetCounters::default(),
             rr: 0,
             phys_stamp: vec![0; phys],
+            phys_of,
+            inj_node_of,
             shared_bandwidth,
             stamp: 0,
         }
@@ -398,17 +419,23 @@ impl Network {
     /// keys act first, exactly as the reference engine's scan order.
     #[inline]
     fn order_key(&self, slot: u32) -> u32 {
-        let n = self.active.len();
         let p = self.pos[slot as usize] as usize;
-        ((p + n - self.rr) % n) as u32
+        (if p >= self.rr {
+            p - self.rr
+        } else {
+            p + self.active.len() - self.rr
+        }) as u32
     }
 
-    /// `slot`'s entry in the activation list: its arbitration key in the
-    /// high half, so ascending order is arbitration order (keys are
-    /// unique — one per active-list position).
+    /// Marks `slot` to act in this cycle's walk.
     #[inline]
-    fn actor(&self, slot: u32) -> u64 {
-        (self.order_key(slot) as u64) << 32 | slot as u64
+    fn mark_actor(&mut self, slot: u32) {
+        let q = self.pos[slot as usize] as usize;
+        inv_assert!(
+            self.act_bits[q >> 6] & 1 << (q & 63) == 0,
+            "actor marked twice"
+        );
+        self.act_bits[q >> 6] |= 1 << (q & 63);
     }
 
     /// Arms `slot`'s routing-delay timer: it attempts its next channel
@@ -432,18 +459,22 @@ impl Network {
         let s = self.stamp;
 
         // --- movement phase -------------------------------------------------
-        // Gather the packets that can possibly act this cycle — drainers,
-        // expired routing delays, woken waiters, eager re-attempters —
-        // into one activation list, sort it once, and process it in
-        // rotating-arbitration order. Packets blocked on busy channels
-        // and unexpired routing delays are untouched.
+        // Mark the packets that can possibly act this cycle — drainers,
+        // expired routing delays, woken waiters, eager re-attempters — in
+        // the activation bitmap, then walk it in rotating-arbitration
+        // order. Packets blocked on busy channels and unexpired routing
+        // delays are untouched.
         let n = self.active.len();
         if n > 0 {
-            self.rr = (self.rr + 1) % n;
-            let mut actors = std::mem::take(&mut self.actors);
-            inv_assert!(actors.is_empty() && self.late_wakes.is_empty());
-            for &slot in &self.drainers {
-                actors.push(self.actor(slot));
+            // rr was below the previous cycle's list length, so one
+            // subtraction wraps it unless completions have since shrunk
+            // the list below it
+            self.rr += 1;
+            while self.rr >= n {
+                self.rr -= n;
+            }
+            for i in 0..self.drainers.len() {
+                self.mark_actor(self.drainers[i]);
             }
             while let Some(&(due, slot)) = self.attempts.front() {
                 if due > s {
@@ -451,52 +482,30 @@ impl Network {
                 }
                 inv_assert_eq!(due, s, "missed a routing-delay timer");
                 self.attempts.pop_front();
-                actors.push(self.actor(slot));
+                self.mark_actor(slot);
             }
-            for &slot in &self.wake_queue {
-                actors.push(self.actor(slot));
+            for i in 0..self.wake_queue.len() {
+                self.mark_actor(self.wake_queue[i]);
             }
             self.wake_queue.clear();
-            for &slot in &self.eager {
-                actors.push(self.actor(slot));
+            for i in 0..self.eager.len() {
+                self.mark_actor(self.eager[i]);
             }
             self.eager.clear();
-            actors.sort_unstable();
 
-            // walk the sorted list, interleaving packets that a release
-            // wakes into this cycle: both sources only ever hold keys
-            // above the one just processed, so taking the smaller head
-            // each time visits every actor in ascending key order
-            let mut next = 0;
-            loop {
-                let entry = match (actors.get(next), self.late_wakes.peek()) {
-                    (Some(&a), Some(&Reverse(w))) if w < a => {
-                        self.late_wakes.pop();
-                        w
-                    }
-                    (Some(&a), _) => {
-                        next += 1;
-                        a
-                    }
-                    (None, Some(&Reverse(w))) => {
-                        self.late_wakes.pop();
-                        w
-                    }
-                    (None, None) => break,
-                };
-                let (key, slot) = ((entry >> 32) as u32, entry as u32 as usize);
-                if self.advance_packet(slot, now, key) {
-                    self.done_pos.push(self.pos[slot]);
-                }
-            }
-            actors.clear();
-            self.actors = actors;
+            // walk [rr, n) and then [0, rr): keys are distances from rr
+            let rr = self.rr;
+            self.walk(rr, n, rr.wrapping_neg(), now);
+            let wrapped_from = self.done_pos.len();
+            self.walk(0, rr, n - rr, now);
 
-            // remove completed packets (largest position first so
+            // remove completed packets largest position first, so
             // swap_remove does not disturb smaller positions — the same
-            // order as the reference engine)
-            self.done_pos.sort_unstable_by(|a, b| b.cmp(a));
-            for i in 0..self.done_pos.len() {
+            // order as the reference engine. Each segment was walked in
+            // ascending position and the first lies wholly above the
+            // second, so that is each segment reversed, first segment first
+            let walked = self.done_pos.len();
+            for i in (0..wrapped_from).rev().chain((wrapped_from..walked).rev()) {
                 let p = self.done_pos[i] as usize;
                 let slot = self.active.swap_remove(p);
                 if p < self.active.len() {
@@ -560,6 +569,9 @@ impl Network {
                 // procsim-lint: allow(D005): active list length is bounded by the packet arena, far under u32::MAX
                 self.pos[front] = self.active.len() as u32;
                 self.active.push(front as u32);
+                if self.active.len() > self.act_bits.len() << 6 {
+                    self.act_bits.push(0);
+                }
                 if self.inject_q[node].is_empty() {
                     // replay the scan's mid-phase swap_remove: the tail
                     // node moves to position `p` and is visited there if
@@ -583,6 +595,32 @@ impl Network {
 
         #[cfg(feature = "invariants")]
         self.check_consistency();
+    }
+
+    /// Runs the actors marked at positions `[from, to)` in ascending
+    /// order, with key `position + key_offset` (wrapping), clearing each
+    /// bit before its visit. The word is re-read before every visit, so
+    /// a same-cycle wake ahead of the cursor is run too. No mask above
+    /// `to` is needed: no bit lies at or above `n`, and none at or above
+    /// `rr` once `[rr, n)` is walked (a wake there keys below any
+    /// releaser in `[0, rr)`, so it goes to `wake_queue`).
+    fn walk(&mut self, from: usize, to: usize, key_offset: usize, now: Time) {
+        let mut w = from >> 6;
+        let mut below_from = (1u64 << (from & 63)) - 1;
+        while w << 6 < to {
+            let bits = self.act_bits[w] & !below_from;
+            if bits == 0 {
+                w += 1;
+                below_from = 0;
+                continue;
+            }
+            let q = w << 6 | bits.trailing_zeros() as usize;
+            self.act_bits[w] ^= 1 << (q & 63);
+            let slot = self.active[q] as usize;
+            if self.advance_packet(slot, now, q.wrapping_add(key_offset) as u32) {
+                self.done_pos.push(q as u32);
+            }
+        }
     }
 
     /// Cross-validates the arbitration bookkeeping against the packet
@@ -646,10 +684,15 @@ impl Network {
         assert_eq!(listed, waiting, "waiter lists do not cover the Waiting packets");
 
         // movement layer: the per-cycle scratch is empty between cycles,
-        // and the timer FIFO is in due order with nothing overdue
+        // the bitmap covers every active position, and the timer FIFO is
+        // in due order with nothing overdue
         assert!(
-            self.actors.is_empty() && self.late_wakes.is_empty() && self.done_pos.is_empty(),
+            self.act_bits.iter().all(|&bits| bits == 0) && self.done_pos.is_empty(),
             "movement scratch leaked entries across cycles"
+        );
+        assert!(
+            self.act_bits.len() << 6 >= self.active.len(),
+            "activation bitmap shorter than the active list"
         );
         let mut earliest = self.stamp + 1;
         for &(due, slot) in &self.attempts {
@@ -755,16 +798,17 @@ impl Network {
             // contend for bandwidth — the claim trivially succeeds
             return true;
         }
-        let pkt = live(&self.packets, slot);
-        for i in land_from..=land_to {
-            let phys = self.topo.physical_of(pkt.path[i]) as usize;
-            if self.phys_stamp[phys] == self.stamp {
-                return false;
-            }
+        let lands = &live(&self.packets, slot).path[land_from..=land_to];
+        let phys_of = &self.phys_of;
+        let stamp = self.stamp;
+        if lands
+            .iter()
+            .any(|ch| self.phys_stamp[phys_of[ch.index()] as usize] == stamp)
+        {
+            return false;
         }
-        for i in land_from..=land_to {
-            let phys = self.topo.physical_of(pkt.path[i]) as usize;
-            self.phys_stamp[phys] = self.stamp;
+        for ch in lands {
+            self.phys_stamp[phys_of[ch.index()] as usize] = stamp;
         }
         true
     }
@@ -782,7 +826,8 @@ impl Network {
     /// exactly as the retired scan saw post-movement channel state.
     fn release_channel(&mut self, ch: usize, key: u32) {
         self.owner[ch] = FREE;
-        if let Some(node) = self.topo.injection_node_of(crate::topology::ChannelId(ch as u32)) {
+        let node = self.inj_node_of[ch];
+        if node != NOT_INJECTION {
             let node = node as usize;
             if self.inj_state[node] == InjState::Parked {
                 self.inj_state[node] = InjState::Ready;
@@ -805,9 +850,9 @@ impl Network {
             };
             inv_assert_eq!(c2 as usize, ch);
             self.sched[w as usize] = Sched::Waking { from };
-            let kw = self.order_key(w);
-            if kw > key {
-                self.late_wakes.push(Reverse(self.actor(w)));
+            if self.order_key(w) > key {
+                // ahead of the walk's cursor: it acts this cycle
+                self.mark_actor(w);
             } else {
                 self.wake_queue.push(w);
             }
@@ -884,7 +929,7 @@ impl Network {
             }
             Sched::Eager => self.try_advance_header(slot, now, key),
             Sched::Queued | Sched::Waiting { .. } => {
-                unreachable!("inert packet reached the activation list")
+                unreachable!("inert packet marked in the activation bitmap")
             }
         }
     }
@@ -1103,6 +1148,18 @@ impl Network {
     pub fn ready_nodes(&self) -> usize {
         self.inject_ready.len()
     }
+
+    /// The channel each active packet's header waits on, in active-list
+    /// order (test-only: lets the battery spot same-cycle wakes).
+    pub fn awaited_channels(&self) -> Vec<Option<u32>> {
+        self.active
+            .iter()
+            .map(|&slot| match self.sched[slot as usize] {
+                Sched::Waiting { ch, .. } => Some(ch),
+                _ => None,
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -1114,6 +1171,32 @@ mod tests {
 
     fn net(w: u16, l: u16) -> Network {
         Network::new(w, l, TS)
+    }
+
+    #[test]
+    fn channel_tables_agree_with_topology() {
+        use crate::topology::TopologyKind;
+        for topo in [
+            Topology::new(16, 22),
+            Topology::new_torus(16, 22),
+            Topology::with_kind(4, 3, TopologyKind::Mesh, 3),
+        ] {
+            let n = Network::with_topology(topo.clone(), TS);
+            assert_eq!(n.shared_bandwidth, topo.vcs() > 1);
+            assert_eq!(n.phys_of.len(), topo.num_channels() as usize);
+            assert_eq!(n.inj_node_of.len(), topo.num_channels() as usize);
+            for c in 0..topo.num_channels() {
+                let ch = ChannelId(c);
+                assert_eq!(
+                    n.phys_of[ch.index()],
+                    topo.physical_of(ch),
+                    "{topo:?} {ch:?}"
+                );
+                let node = n.inj_node_of[ch.index()];
+                let node = (node != NOT_INJECTION).then_some(node);
+                assert_eq!(node, topo.injection_node_of(ch), "{topo:?} {ch:?}");
+            }
+        }
     }
 
     #[test]
@@ -1243,6 +1326,7 @@ mod tests {
         assert!(n.inj_state.iter().all(|&st| st == InjState::Idle));
         assert!(n.inject_ready.is_empty() && n.inject_heap.is_empty());
         assert!(n.pending_nodes.is_empty());
+        assert!(n.act_bits.iter().all(|&bits| bits == 0) && n.done_pos.is_empty());
     }
 
     #[test]
