@@ -6,6 +6,8 @@
 //! scattered processors are free. They are included as baselines for the
 //! `scenarios/ablation_contiguity.toml` study, not as paper figures.
 
+use std::ops::ControlFlow;
+
 use crate::{AllocId, Allocation, AllocationStrategy};
 use mesh2d::{Coord, Mesh, SubMesh};
 
@@ -85,8 +87,8 @@ impl BestFit {
 
     /// Number of *free* processors adjacent to the perimeter of `s`
     /// (processors outside `s` sharing a link with it). Lower is snugger.
-    /// Row segments are counted through the mesh's free-interval index;
-    /// the two flanking columns walk the occupancy bits directly.
+    /// The rows below and above are masked popcounts of the mesh's row
+    /// free masks; the two flanking columns are bit tests.
     fn boundary_freeness(mesh: &Mesh, s: &SubMesh) -> u32 {
         let mut free_neighbors = 0u32;
         let (bx, by) = (s.base.x, s.base.y);
@@ -110,37 +112,17 @@ impl BestFit {
         free_neighbors
     }
 
+    /// The snuggest free `w × l` placement and its score: the first, in
+    /// row-major base order, with the fewest free neighbours.
     fn best_placement(mesh: &Mesh, w: u16, l: u16) -> Option<(u32, SubMesh)> {
-        if w > mesh.width() || l > mesh.length() {
-            return None;
-        }
-        // enumerate candidate bases from the free-interval index: a free
-        // w × l placement at row y lies inside an intersection of the
-        // free runs of rows y..y+l-1, so only those spans are scanned
-        // (same base order as a full row-major sweep)
         let mut best: Option<(u32, SubMesh)> = None;
-        let mut acc: Vec<(u16, u16)> = Vec::new();
-        let mut next: Vec<(u16, u16)> = Vec::new();
-        for y in 0..=(mesh.length() - l) {
-            acc.clear();
-            acc.extend_from_slice(mesh.row_free_intervals(y));
-            for r in (y + 1)..(y + l) {
-                if acc.is_empty() {
-                    break;
-                }
-                mesh2d::rect::intersect_intervals(&acc, mesh.row_free_intervals(r), &mut next);
-                std::mem::swap(&mut acc, &mut next);
+        mesh2d::try_free_submeshes(mesh, w, l, |s| {
+            let score = Self::boundary_freeness(mesh, &s);
+            if best.is_none_or(|(bs, _)| score < bs) {
+                best = Some((score, s));
             }
-            for &(a, b) in acc.iter().filter(|&&(a, b)| b - a + 1 >= w) {
-                for x in a..=(b + 1 - w) {
-                    let s = SubMesh::from_base_size(Coord::new(x, y), w, l);
-                    let score = Self::boundary_freeness(mesh, &s);
-                    if best.is_none_or(|(bs, _)| score < bs) {
-                        best = Some((score, s));
-                    }
-                }
-            }
-        }
+            ControlFlow::<()>::Continue(())
+        });
         best
     }
 }
@@ -270,6 +252,70 @@ mod tests {
         assert_eq!(mesh.used_count(), 16);
         bf.release(&mut mesh, a);
         assert_eq!(mesh.used_count(), 0);
+    }
+
+    /// Exhaustive reference for Best-Fit on a plain occupancy grid: for
+    /// each orientation, the first base (row-major) with the fewest free
+    /// cells adjacent to its perimeter, counted cell by cell; the first
+    /// orientation wins ties.
+    fn oracle_best_fit(free: &[bool], mw: usize, ml: usize, a: usize, b: usize) -> Option<SubMesh> {
+        let is_free = |x: usize, y: usize| free[y * mw + x];
+        let best_of = |w: usize, l: usize| {
+            let mut best: Option<(u32, SubMesh)> = None;
+            for y in 0..ml.saturating_sub(l - 1) {
+                for x in 0..mw.saturating_sub(w - 1) {
+                    if !(y..y + l).all(|yy| (x..x + w).all(|xx| is_free(xx, yy))) {
+                        continue;
+                    }
+                    let mut score = 0u32;
+                    for yy in y..y + l {
+                        score += u32::from(x > 0 && is_free(x - 1, yy));
+                        score += u32::from(x + w < mw && is_free(x + w, yy));
+                    }
+                    for xx in x..x + w {
+                        score += u32::from(y > 0 && is_free(xx, y - 1));
+                        score += u32::from(y + l < ml && is_free(xx, y + l));
+                    }
+                    if best.is_none_or(|(bs, _)| score < bs) {
+                        let base = Coord::new(x as u16, y as u16);
+                        best = Some((score, SubMesh::from_base_size(base, w as u16, l as u16)));
+                    }
+                }
+            }
+            best
+        };
+        let c2 = if a != b { best_of(b, a) } else { None };
+        match (best_of(a, b), c2) {
+            (Some((s1, r1)), Some((s2, r2))) => Some(if s1 <= s2 { r1 } else { r2 }),
+            (x, y) => x.or(y).map(|(_, r)| r),
+        }
+    }
+
+    #[test]
+    fn best_fit_matches_exhaustive_oracle_on_random_meshes() {
+        // no golden covers Best-Fit, so this pins its placement and
+        // tie-breaks, on rows of one, two and three mask words
+        let mut seed = 0xB357u64;
+        for (mw, ml) in [(16u16, 22u16), (63, 5), (64, 5), (65, 5), (128, 9), (130, 9)] {
+            for case in 0..8u64 {
+                let mut mesh = Mesh::new(mw, ml);
+                let mut free = vec![true; mw as usize * ml as usize];
+                for y in 0..ml {
+                    for x in 0..mw {
+                        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                        if (seed >> 33) % 100 < 25 + 10 * (case % 5) {
+                            mesh.occupy(Coord::new(x, y));
+                            free[y as usize * mw as usize + x as usize] = false;
+                        }
+                    }
+                }
+                for (a, b) in [(1u16, 1u16), (2, 2), (3, 1), (2, 4), (5, 3), (30, 2), (mw, 1)] {
+                    let expected = oracle_best_fit(&free, mw as usize, ml as usize, a as usize, b as usize);
+                    let got = BestFit::new().allocate(&mut mesh.clone(), a, b).map(|al| al.submeshes()[0]);
+                    assert_eq!(got, expected, "{mw}x{ml} case {case} request {a}x{b}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! free.
 //!
 //! The original formulation derives candidate bases from the busy list;
-//! we use an equivalent prefix-sum scan over the occupancy grid (same
+//! we search the mesh's row free masks instead (`mesh2d::rect`: the same
 //! first-fit result, simpler invariants — the busy list is still
 //! maintained because its *length* is a reported statistic and because
 //! departures remove entries by allocation id).

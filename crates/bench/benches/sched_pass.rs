@@ -110,7 +110,7 @@ fn bench_watermark_reject(c: &mut Criterion) {
     });
     // what the same rejection costs when the watermarks cannot decide
     // (and, order-of-magnitude, what every doomed attempt cost before):
-    // the full row-by-row interval scan, ending in failure
+    // the full row-by-row mask scan, ending in failure
     group.bench_function("watermark_reject/undecided_full_scan", |b| {
         b.iter(|| black_box(find_free_submesh(&striped, black_box(4), black_box(4))))
     });

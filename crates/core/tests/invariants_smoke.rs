@@ -1,6 +1,6 @@
 //! Smoke test for the `invariants` feature: drive a small end-to-end
 //! simulation through every subsystem that carries deep checks — the
-//! mesh free-interval index, the wormhole network's arbitration and
+//! mesh row free masks, the wormhole network's arbitration and
 //! waiter-list bookkeeping, and the event queue's monotone clock.
 //!
 //! Under `cargo test` this is an ordinary regression test; under

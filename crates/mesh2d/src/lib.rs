@@ -6,10 +6,11 @@
 //! * [`Coord`] / [`NodeId`] — processor coordinates and linear ids,
 //! * [`SubMesh`] — inclusive rectangular regions (the paper's
 //!   `S(x, y, x', y')` notation, Definition 1),
-//! * [`Mesh`] — an occupancy grid with allocation bookkeeping,
-//! * [`rect`] — free-rectangle searches (first-fit suitable sub-mesh,
-//!   largest free sub-mesh under side caps) used by contiguous allocation
-//!   and by GABL,
+//! * [`Mesh`] — an occupancy grid (one free-bit mask per row) with
+//!   allocation bookkeeping,
+//! * [`rect`] — free-rectangle searches over the row masks (first-fit
+//!   suitable sub-mesh, every free placement, largest free sub-mesh under
+//!   side caps) used by contiguous allocation and by GABL,
 //! * [`buddy`] — decomposition of an arbitrary `W × L` mesh into
 //!   power-of-two squares and quadrant splitting, used by MBS,
 //! * [`pages`] — page grids and the four page indexing schemes of the
@@ -46,6 +47,6 @@ pub use coord::{Coord, NodeId};
 pub use mesh::Mesh;
 pub use pages::{PageGrid, PageIndexing};
 pub use rect::{
-    find_free_submesh, intersect_intervals, largest_free_rect, largest_free_rect_near,
+    find_free_submesh, largest_free_rect, largest_free_rect_near, try_free_submeshes,
 };
 pub use submesh::SubMesh;

@@ -1,29 +1,35 @@
 //! The mesh occupancy grid.
 
-use crate::coord::{Coord, NodeId};
+use crate::coord::Coord;
 use crate::submesh::SubMesh;
+
+/// Bits per word of a row's free mask.
+pub(crate) const WORD: usize = 64;
 
 /// A `W × L` 2D mesh occupancy grid.
 ///
 /// Tracks which processors are allocated and maintains a free-processor
 /// count. This is the single source of truth allocation strategies mutate;
-/// the invariant that a strategy never double-allocates or double-frees a
-/// processor is enforced here with debug assertions and checked in tests.
+/// the invariant that a strategy never double-allocates, double-frees or
+/// touches a processor outside the mesh is enforced here with assertions
+/// in every build.
 ///
-/// Alongside the raw occupancy bits the mesh maintains an **incremental
-/// free-space index**: per-row sorted lists of maximal free intervals,
-/// updated in O(intervals) on every occupy/release. The free-rectangle
-/// searches in [`crate::rect`] walk these intervals instead of rescanning
-/// the whole `W × L` grid on every allocation probe, which is what makes
-/// contiguous probing and GABL's greedy partitioning cheap at high
-/// utilization (few, short free intervals) — see `docs/PERFORMANCE.md`.
+/// Occupancy is kept as one **free-bit mask per row**: row `y` is
+/// `ceil(W / 64)` `u64` words, bit `x % 64` of word `x / 64` is set when
+/// processor `(x, y)` is free, and the bits past column `W − 1` in a
+/// row's last word are always clear. Occupying or releasing a sub-mesh
+/// clears or sets one bit range per row. The free-rectangle searches in
+/// [`crate::rect`] stack rows with a word-wise AND and find free runs
+/// with `trailing_zeros` on a mask and its complement, so neither the
+/// bookkeeping nor the searches do per-processor work — see
+/// `docs/PERFORMANCE.md`.
 ///
-/// On top of the index the mesh maintains O(1) **state epochs** and
+/// On top of the masks the mesh maintains O(1) **state epochs** and
 /// **free-space watermarks** for the scheduling hot loop:
 ///
-/// * [`Mesh::epoch`] / [`Mesh::release_epoch`] — counters bumped on every
-///   occupancy change / every release, letting callers detect "has the
-///   mesh changed (in a way that could help a failed request) since I
+/// * [`Mesh::epoch`] / [`Mesh::release_epoch`] — counters advanced by
+///   every occupancy change / every release, letting callers detect "has
+///   the mesh changed (in a way that could help a failed request) since I
 ///   last looked" without diffing any state.
 /// * [`Mesh::max_free_run`] / [`Mesh::free_rows`] — an upper bound on the
 ///   dimensions of any free rectangle (no free rectangle can be wider
@@ -35,30 +41,68 @@ use crate::submesh::SubMesh;
 pub struct Mesh {
     w: u16,
     l: u16,
-    occupied: Vec<bool>,
+    /// Words per row mask: `ceil(W / 64)`.
+    words: usize,
+    /// The row free masks, row-major, `words` words per row.
+    bits: Vec<u64>,
     free: u32,
-    /// Per-row sorted, disjoint, maximal free intervals `(start, end)`,
-    /// inclusive on both ends.
-    row_free: Vec<Vec<(u16, u16)>>,
-    /// Bumped on every occupy and every release (any state change).
+    /// Advanced by one per processor occupied or released.
     epoch: u64,
-    /// Bumped on every release only. A request that failed at
-    /// release-epoch `e` keeps failing while the release epoch is still
+    /// Advanced by one per processor released only. A request that failed
+    /// at release-epoch `e` keeps failing while the release epoch is still
     /// `e`: occupies only shrink free space, and every strategy's failure
     /// condition is monotone under shrinking free space.
     release_epoch: u64,
-    /// Watermark: per-row longest free run (0 = row fully occupied).
-    /// Recomputed in O(intervals) whenever a row's interval list changes.
+    /// Watermark: per-row longest free run (0 = row fully occupied),
+    /// recomputed from the row's mask whenever the row changes.
     row_max_run: Vec<u16>,
-    /// Watermark histogram: `run_hist[len]` = number of rows whose
-    /// longest free run is exactly `len` (index 0 counts full rows).
-    run_hist: Vec<u32>,
-    /// Watermark: `max(row_max_run)`, maintained lazily from `run_hist`
-    /// (raised directly; lowered by scanning down to the next non-empty
-    /// bucket, amortized O(1) per update).
+    /// Watermark: `max(row_max_run)`.
     max_free_run: u16,
     /// Watermark: number of rows with at least one free cell.
     free_rows: u16,
+}
+
+/// The bits of columns `x0..=x1` that fall in word `i` of a row mask
+/// (`x0 / 64 <= i <= x1 / 64`).
+#[inline]
+fn span_mask(i: usize, x0: usize, x1: usize) -> u64 {
+    let lo = i * WORD;
+    let a = x0.max(lo) - lo;
+    let b = x1.min(lo + WORD - 1) - lo;
+    (!0u64 << a) & (!0u64 >> (WORD - 1 - b))
+}
+
+/// The first column at or after `from` whose bit in `row` is set, or
+/// (with `clear`) whose bit is clear; `None` past the row's last word.
+#[inline]
+fn scan(row: &[u64], from: usize, clear: bool) -> Option<usize> {
+    let flip = if clear { !0u64 } else { 0 };
+    let mut i = from / WORD;
+    let mut word = (*row.get(i)? ^ flip) & (!0u64 << (from % WORD));
+    loop {
+        if word != 0 {
+            return Some(i * WORD + word.trailing_zeros() as usize);
+        }
+        i += 1;
+        word = *row.get(i)? ^ flip;
+    }
+}
+
+/// The maximal runs of set bits in a row mask, as inclusive `(start,
+/// end)` column pairs in ascending order. Relies on the bits past the
+/// row's width being clear.
+pub(crate) fn runs(row: &[u64]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        let start = scan(row, pos, false)?;
+        pos = scan(row, start, true).unwrap_or(row.len() * WORD);
+        Some((start, pos - 1))
+    })
+}
+
+/// The longest run of set bits in a row mask.
+fn longest_run(row: &[u64]) -> u16 {
+    runs(row).map(|(a, b)| (b - a + 1) as u16).max().unwrap_or(0)
 }
 
 impl Mesh {
@@ -68,21 +112,21 @@ impl Mesh {
     /// Panics if either dimension is zero.
     pub fn new(w: u16, l: u16) -> Self {
         assert!(w > 0 && l > 0, "mesh dimensions must be positive");
-        let mut run_hist = vec![0u32; w as usize + 1];
-        run_hist[w as usize] = l as u32;
-        Mesh {
+        let words = (w as usize).div_ceil(WORD);
+        let mut mesh = Mesh {
             w,
             l,
-            occupied: vec![false; w as usize * l as usize],
-            free: w as u32 * l as u32,
-            row_free: vec![vec![(0, w - 1)]; l as usize],
+            words,
+            bits: vec![0; words * l as usize],
+            free: 0,
             epoch: 0,
             release_epoch: 0,
-            row_max_run: vec![w; l as usize],
-            run_hist,
-            max_free_run: w,
-            free_rows: l,
-        }
+            row_max_run: vec![0; l as usize],
+            max_free_run: 0,
+            free_rows: 0,
+        };
+        mesh.fill_free();
+        mesh
     }
 
     /// Mesh width `W` (x extent).
@@ -139,107 +183,123 @@ impl Mesh {
         SubMesh::from_base_size(Coord::new(0, 0), self.w, self.l)
     }
 
+    /// The free mask of row `y` (`ceil(W / 64)` words, set bit = free).
     #[inline]
-    fn idx(&self, c: Coord) -> usize {
-        debug_assert!(self.contains(c), "coordinate {c} outside {}x{} mesh", self.w, self.l);
-        c.y as usize * self.w as usize + c.x as usize
-    }
-
-    /// Converts a coordinate to its linear node id.
-    #[inline]
-    pub fn node_id(&self, c: Coord) -> NodeId {
-        c.to_id(self.w)
-    }
-
-    /// Converts a linear node id back to a coordinate.
-    #[inline]
-    pub fn coord_of(&self, id: NodeId) -> Coord {
-        Coord::from_id(id, self.w)
+    pub(crate) fn row(&self, y: u16) -> &[u64] {
+        &self.bits[y as usize * self.words..][..self.words]
     }
 
     /// Whether the processor at `c` is allocated.
     #[inline]
     pub fn is_occupied(&self, c: Coord) -> bool {
-        self.occupied[self.idx(c)]
+        !self.is_free(c)
     }
 
     /// Whether the processor at `c` is free.
     #[inline]
     pub fn is_free(&self, c: Coord) -> bool {
-        !self.is_occupied(c)
+        debug_assert!(self.contains(c), "coordinate {c} outside {}x{} mesh", self.w, self.l);
+        let x = c.x as usize;
+        self.row(c.y)[x / WORD] >> (x % WORD) & 1 == 1
     }
 
     /// Marks a single processor allocated.
     ///
     /// # Panics
-    /// Panics (in all builds) if the processor is already allocated:
-    /// double allocation is always a strategy bug.
+    /// Panics (in all builds) if the processor is already allocated or
+    /// lies outside the mesh: either is always a strategy bug.
     pub fn occupy(&mut self, c: Coord) {
-        let i = self.idx(c);
-        assert!(!self.occupied[i], "double allocation of {c}");
-        self.occupied[i] = true;
-        self.free -= 1;
-        Self::interval_remove(&mut self.row_free[c.y as usize], c.x);
-        self.epoch += 1;
-        self.note_row_changed(c.y);
+        assert!(self.contains(c), "coordinate {c} outside {}x{} mesh", self.w, self.l);
+        self.update(&SubMesh::from_base_size(c, 1, 1), true);
     }
 
     /// Marks a single processor free.
     ///
     /// # Panics
-    /// Panics if the processor is already free.
+    /// Panics (in all builds) if the processor is already free or lies
+    /// outside the mesh.
     pub fn release(&mut self, c: Coord) {
-        let i = self.idx(c);
-        assert!(self.occupied[i], "double free of {c}");
-        self.occupied[i] = false;
-        self.free += 1;
-        Self::interval_insert(&mut self.row_free[c.y as usize], c.x);
-        self.epoch += 1;
-        self.release_epoch += 1;
-        self.note_row_changed(c.y);
+        assert!(self.contains(c), "coordinate {c} outside {}x{} mesh", self.w, self.l);
+        self.update(&SubMesh::from_base_size(c, 1, 1), false);
     }
 
-    /// Refreshes the watermarks after row `y`'s interval list changed:
-    /// recomputes the row's longest run (O(intervals), the same cost
-    /// class as the interval update itself) and folds the change into
-    /// the histogram, `free_rows`, and the lazy `max_free_run`.
-    fn note_row_changed(&mut self, y: u16) {
-        let new_max = self.row_free[y as usize]
-            .iter()
-            .map(|&(a, b)| b - a + 1)
-            .max()
-            .unwrap_or(0);
-        let old = self.row_max_run[y as usize];
-        if new_max == old {
-            return;
-        }
-        self.row_max_run[y as usize] = new_max;
-        self.run_hist[old as usize] -= 1;
-        self.run_hist[new_max as usize] += 1;
-        if old == 0 {
-            self.free_rows += 1;
-        } else if new_max == 0 {
-            self.free_rows -= 1;
-        }
-        if new_max > self.max_free_run {
-            self.max_free_run = new_max;
-        } else if old == self.max_free_run && self.run_hist[old as usize] == 0 {
-            let mut m = self.max_free_run;
-            while m > 0 && self.run_hist[m as usize] == 0 {
-                m -= 1;
+    /// Allocates every processor of `s`.
+    ///
+    /// # Panics
+    /// Panics if any processor of `s` is already allocated or out of bounds.
+    pub fn occupy_submesh(&mut self, s: &SubMesh) {
+        assert!(self.contains_submesh(s), "sub-mesh {s} outside mesh");
+        self.update(s, true);
+        #[cfg(feature = "invariants")]
+        self.check_index_consistency();
+    }
+
+    /// Frees every processor of `s`.
+    ///
+    /// # Panics
+    /// Panics if any processor of `s` is already free or out of bounds.
+    pub fn release_submesh(&mut self, s: &SubMesh) {
+        assert!(self.contains_submesh(s), "sub-mesh {s} outside mesh");
+        self.update(s, false);
+        #[cfg(feature = "invariants")]
+        self.check_index_consistency();
+    }
+
+    /// Clears (`occupy`) or sets the free bits of `s` — one bit range per
+    /// row — then refreshes the changed rows' longest runs, the counters
+    /// and the watermarks. `s` must lie inside the mesh.
+    fn update(&mut self, s: &SubMesh, occupy: bool) {
+        let (x0, x1) = (s.base.x as usize, s.end.x as usize);
+        for y in s.base.y..=s.end.y {
+            let start = y as usize * self.words;
+            let row = &mut self.bits[start..start + self.words];
+            for (i, word) in row.iter_mut().enumerate().take(x1 / WORD + 1).skip(x0 / WORD) {
+                let m = span_mask(i, x0, x1);
+                // the cells of the span that are already in the target state
+                let wrong = if occupy { m & !*word } else { m & *word };
+                if wrong != 0 {
+                    let x = i * WORD + wrong.trailing_zeros() as usize;
+                    let c = Coord::new(x as u16, y);
+                    if occupy {
+                        panic!("double allocation of {c}");
+                    }
+                    panic!("double free of {c}");
+                }
+                *word ^= m;
             }
-            self.max_free_run = m;
+            inv_assert!(
+                row[self.words - 1] & !span_mask(self.words - 1, 0, self.w as usize - 1) == 0,
+                "row {y} has a free bit past column {}",
+                self.w - 1
+            );
+            self.row_max_run[y as usize] = longest_run(row);
         }
+        let n = s.size();
+        if occupy {
+            self.free -= n;
+        } else {
+            self.free += n;
+            self.release_epoch += u64::from(n);
+        }
+        self.epoch += u64::from(n);
+        self.recount_watermarks();
     }
 
-    /// State epoch: bumped on every occupy and release. Two equal epochs
+    /// Recomputes `max_free_run` and `free_rows` from `row_max_run`, O(L).
+    fn recount_watermarks(&mut self) {
+        self.max_free_run = self.row_max_run.iter().copied().max().unwrap_or(0);
+        // procsim-lint: allow(D005): at most L rows, and L is a u16
+        self.free_rows = self.row_max_run.iter().filter(|&&r| r > 0).count() as u16;
+    }
+
+    /// State epoch: advanced by every occupy and release. Two equal epochs
     /// from the same mesh guarantee identical occupancy.
     #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// Release epoch: bumped only when a processor is freed (and on
+    /// Release epoch: advanced only when a processor is freed (and on
     /// [`Mesh::clear`]). An allocation request that failed at release
     /// epoch `e` cannot start succeeding while the release epoch is
     /// still `e` — intervening occupies only shrink the free space —
@@ -283,149 +343,60 @@ impl Mesh {
             && l <= self.free_rows
     }
 
-    /// Removes column `x` from a row's free-interval list. `x` must lie in
-    /// an interval (the caller just verified the processor was free).
-    fn interval_remove(row: &mut Vec<(u16, u16)>, x: u16) {
-        let i = row.partition_point(|&(_, end)| end < x);
-        inv_assert!(
-            i < row.len() && row[i].0 <= x && x <= row[i].1,
-            "free-interval index out of sync"
-        );
-        let (a, b) = row[i];
-        if a == b {
-            row.remove(i);
-        } else if x == a {
-            row[i].0 = x + 1;
-        } else if x == b {
-            row[i].1 = x - 1;
-        } else {
-            row[i].1 = x - 1;
-            row.insert(i + 1, (x + 1, b));
-        }
-    }
-
-    /// Inserts column `x` into a row's free-interval list, coalescing with
-    /// adjacent intervals. `x` must not lie in any interval.
-    fn interval_insert(row: &mut Vec<(u16, u16)>, x: u16) {
-        let i = row.partition_point(|&(_, end)| end < x);
-        let touch_left = i > 0 && row[i - 1].1 + 1 == x;
-        let touch_right = i < row.len() && x + 1 == row[i].0;
-        match (touch_left, touch_right) {
-            (true, true) => {
-                row[i - 1].1 = row[i].1;
-                row.remove(i);
-            }
-            (true, false) => row[i - 1].1 = x,
-            (false, true) => row[i].0 = x,
-            (false, false) => row.insert(i, (x, x)),
-        }
-    }
-
     /// Whether every processor of `s` is free.
     pub fn submesh_free(&self, s: &SubMesh) -> bool {
         if !self.contains_submesh(s) {
             return false;
         }
-        s.iter().all(|c| self.is_free(c))
+        let (x0, x1) = (s.base.x as usize, s.end.x as usize);
+        (s.base.y..=s.end.y).all(|y| {
+            let row = self.row(y);
+            (x0 / WORD..=x1 / WORD).all(|i| {
+                let m = span_mask(i, x0, x1);
+                row[i] & m == m
+            })
+        })
     }
 
-    /// Whether every processor of `s` is allocated.
-    pub fn submesh_occupied(&self, s: &SubMesh) -> bool {
-        self.contains_submesh(s) && s.iter().all(|c| self.is_occupied(c))
-    }
-
-    /// Allocates every processor of `s`.
-    ///
-    /// # Panics
-    /// Panics if any processor of `s` is already allocated or out of bounds.
-    pub fn occupy_submesh(&mut self, s: &SubMesh) {
-        assert!(self.contains_submesh(s), "sub-mesh {s} outside mesh");
-        for c in s.iter() {
-            self.occupy(c);
-        }
-        #[cfg(feature = "invariants")]
-        self.check_index_consistency();
-    }
-
-    /// Frees every processor of `s`.
-    ///
-    /// # Panics
-    /// Panics if any processor of `s` is already free or out of bounds.
-    pub fn release_submesh(&mut self, s: &SubMesh) {
-        assert!(self.contains_submesh(s), "sub-mesh {s} outside mesh");
-        for c in s.iter() {
-            self.release(c);
-        }
-        #[cfg(feature = "invariants")]
-        self.check_index_consistency();
-    }
-
-    /// Cross-validates the incremental free-interval index against the
-    /// raw occupancy bits: every row's intervals must be sorted, disjoint,
-    /// maximal, and cover exactly its free processors, and `free` must
-    /// equal the popcount of free bits. O(W × L); compiled only under
-    /// `--features invariants` and run after every sub-mesh operation
-    /// (single-processor churn, e.g. the MC allocator's scatter path,
-    /// is validated by the cheap per-op checks instead).
+    /// Cross-validates the row free masks: no bit may be set past column
+    /// `W − 1`, and `free` must equal the masks' popcount; then checks
+    /// the watermarks. O(W × L); compiled only under `--features
+    /// invariants` and run after every sub-mesh operation
+    /// (single-processor churn, e.g. the MC allocator's scatter path, is
+    /// validated by the cheap per-op checks instead).
     #[cfg(feature = "invariants")]
     pub fn check_index_consistency(&self) {
-        let mut free_bits = 0u32;
+        let used = self.w as usize % WORD;
         for y in 0..self.l {
-            let row = &self.row_free[y as usize];
-            let mut prev_end: Option<u16> = None;
-            for &(a, b) in row {
-                assert!(a <= b && b < self.w, "malformed interval ({a},{b}) in row {y}");
-                if let Some(pe) = prev_end {
-                    // disjoint AND maximal: a gap of at least one occupied cell
-                    assert!(a > pe + 1, "unmerged/overlapping intervals in row {y}");
-                }
-                prev_end = Some(b);
-            }
-            let mut in_interval = vec![false; self.w as usize];
-            for &(a, b) in row {
-                for x in a..=b {
-                    in_interval[x as usize] = true;
-                }
-            }
-            for x in 0..self.w {
-                let occ = self.occupied[y as usize * self.w as usize + x as usize];
-                assert_eq!(
-                    !occ,
-                    in_interval[x as usize],
-                    "interval index disagrees with occupancy bit at ({x},{y})"
-                );
-                free_bits += u32::from(!occ);
-            }
+            let last = self.row(y)[self.words - 1];
+            assert!(used == 0 || last >> used == 0, "row {y} has a free bit past column {}", self.w - 1);
         }
-        assert_eq!(self.free, free_bits, "free counter out of sync");
+        let popcount: u32 = self.bits.iter().map(|b| b.count_ones()).sum();
+        assert_eq!(self.free, popcount, "free counter out of sync");
         self.check_watermark_consistency();
     }
 
     /// Cross-validates the free-space watermarks against a brute-force
-    /// recount and against the brute-force largest free rectangle:
-    /// per-row longest runs, the run histogram, `max_free_run`,
-    /// `free_rows`, and the guarantee that the actual largest free
-    /// rectangle fits inside the `max_free_run × free_rows` bound (with
-    /// the width bound tight). Compiled only under
-    /// `--features invariants`; run from `check_index_consistency` after
-    /// every sub-mesh operation.
+    /// recount over [`Mesh::is_free`] and against the brute-force largest
+    /// free rectangle: per-row longest runs, `max_free_run`, `free_rows`,
+    /// and the guarantee that the actual largest free rectangle fits
+    /// inside the `max_free_run × free_rows` bound (with the width bound
+    /// tight). Compiled only under `--features invariants`; run from
+    /// `check_index_consistency` after every sub-mesh operation.
     #[cfg(feature = "invariants")]
     pub fn check_watermark_consistency(&self) {
         let mut max_run = 0u16;
         let mut free_rows = 0u16;
-        let mut hist = vec![0u32; self.w as usize + 1];
         for y in 0..self.l {
-            let brute = self.row_free[y as usize]
-                .iter()
-                .map(|&(a, b)| b - a + 1)
-                .max()
-                .unwrap_or(0);
+            let (mut run, mut brute) = (0u16, 0u16);
+            for x in 0..self.w {
+                run = if self.is_free(Coord::new(x, y)) { run + 1 } else { 0 };
+                brute = brute.max(run);
+            }
             assert_eq!(self.row_max_run[y as usize], brute, "row_max_run[{y}] out of sync");
-            hist[brute as usize] += 1;
             max_run = max_run.max(brute);
             free_rows += u16::from(brute > 0);
         }
-        assert_eq!(self.run_hist, hist, "run-length histogram out of sync");
         assert_eq!(self.max_free_run, max_run, "max_free_run watermark out of sync");
         assert_eq!(self.free_rows, free_rows, "free_rows watermark out of sync");
         match crate::rect::largest_free_rect(self, self.w, self.l) {
@@ -453,55 +424,35 @@ impl Mesh {
     /// Iterates over the coordinates of all free processors in row-major
     /// order.
     pub fn iter_free(&self) -> impl Iterator<Item = Coord> + '_ {
-        self.occupied.iter().enumerate().filter_map(move |(i, occ)| {
-            if *occ {
-                None
-            } else {
-                Some(Coord::from_id(NodeId(i as u32), self.w))
-            }
+        (0..self.l).flat_map(move |y| {
+            runs(self.row(y)).flat_map(move |(a, b)| {
+                (a..=b).map(move |x| Coord::new(x as u16, y))
+            })
         })
     }
 
-    /// Iterates over the coordinates of all allocated processors in
-    /// row-major order.
-    pub fn iter_occupied(&self) -> impl Iterator<Item = Coord> + '_ {
-        self.occupied.iter().enumerate().filter_map(move |(i, occ)| {
-            if *occ {
-                Some(Coord::from_id(NodeId(i as u32), self.w))
-            } else {
-                None
-            }
-        })
-    }
-
-    /// Raw row-major occupancy slice (row `y` at `[y*W .. (y+1)*W)`),
-    /// for callers that need a whole-grid snapshot (diagnostics, oracle
-    /// comparisons in tests).
-    #[inline]
-    pub fn occupancy(&self) -> &[bool] {
-        &self.occupied
-    }
-
-    /// The sorted, disjoint, maximal free intervals `(start, end)`
-    /// (inclusive) of row `y` — the incremental free-space index the
-    /// rectangle searches and allocation strategies probe instead of
-    /// rescanning the occupancy grid.
-    #[inline]
-    pub fn row_free_intervals(&self, y: u16) -> &[(u16, u16)] {
-        &self.row_free[y as usize]
-    }
-
-    /// Number of free processors in columns `x0..=x1` of row `y`,
-    /// computed from the free-interval index in O(intervals).
+    /// Number of free processors in columns `x0..=x1` of row `y`: a
+    /// popcount of the row's mask under the span.
     pub fn free_in_row_span(&self, y: u16, x0: u16, x1: u16) -> u32 {
         debug_assert!(x0 <= x1 && x1 < self.w && y < self.l);
-        let row = &self.row_free[y as usize];
-        let i = row.partition_point(|&(_, end)| end < x0);
-        row[i..]
-            .iter()
-            .take_while(|&&(a, _)| a <= x1)
-            .map(|&(a, b)| (b.min(x1) - a.max(x0) + 1) as u32)
-            .sum()
+        let (x0, x1) = (x0 as usize, x1 as usize);
+        let row = self.row(y);
+        (x0 / WORD..=x1 / WORD).map(|i| (row[i] & span_mask(i, x0, x1)).count_ones()).sum()
+    }
+
+    /// Sets every row's mask to all-free and resets the free count and
+    /// the watermarks to match.
+    fn fill_free(&mut self) {
+        let last = self.w as usize - 1;
+        for row in self.bits.chunks_exact_mut(self.words) {
+            for (i, word) in row.iter_mut().enumerate() {
+                *word = span_mask(i, 0, last);
+            }
+        }
+        self.free = self.size();
+        self.row_max_run.fill(self.w);
+        self.max_free_run = self.w;
+        self.free_rows = self.l;
     }
 
     /// Frees every processor, returning the occupancy to its initial
@@ -509,19 +460,9 @@ impl Mesh {
     /// stale epoch values held by callers can never alias a post-clear
     /// state (a clear releases processors, so both epochs advance).
     pub fn clear(&mut self) {
-        self.occupied.fill(false);
-        self.free = self.size();
-        for row in &mut self.row_free {
-            row.clear();
-            row.push((0, self.w - 1));
-        }
+        self.fill_free();
         self.epoch += 1;
         self.release_epoch += 1;
-        self.row_max_run.fill(self.w);
-        self.run_hist.fill(0);
-        self.run_hist[self.w as usize] = self.l as u32;
-        self.max_free_run = self.w;
-        self.free_rows = self.l;
     }
 }
 
@@ -545,7 +486,7 @@ mod tests {
         let s = SubMesh::from_base_size(Coord::new(2, 2), 3, 4);
         m.occupy_submesh(&s);
         assert_eq!(m.used_count(), 12);
-        assert!(m.submesh_occupied(&s));
+        assert!(s.iter().all(|c| m.is_occupied(c)));
         assert!(!m.submesh_free(&s));
         m.release_submesh(&s);
         assert_eq!(m.used_count(), 0);
@@ -600,76 +541,134 @@ mod tests {
     }
 
     #[test]
-    fn iterators_partition_mesh() {
-        let mut m = Mesh::new(5, 3);
-        m.occupy(Coord::new(0, 0));
-        m.occupy(Coord::new(4, 2));
-        let free: Vec<_> = m.iter_free().collect();
-        let used: Vec<_> = m.iter_occupied().collect();
-        assert_eq!(free.len() + used.len(), 15);
-        assert_eq!(used, vec![Coord::new(0, 0), Coord::new(4, 2)]);
+    fn iter_free_walks_free_cells_in_row_major_order() {
+        for w in [5u16, 64, 70] {
+            let mut m = Mesh::new(w, 3);
+            m.occupy(Coord::new(0, 0));
+            m.occupy(Coord::new(w - 1, 2));
+            m.occupy_submesh(&SubMesh::from_base_size(Coord::new(1, 1), w - 2, 1));
+            let free: Vec<_> = m.iter_free().collect();
+            let expected: Vec<_> = (0..3)
+                .flat_map(|y| (0..w).map(move |x| Coord::new(x, y)))
+                .filter(|&c| m.is_free(c))
+                .collect();
+            assert_eq!(free, expected, "width {w}");
+            assert_eq!(free.len() as u32, m.free_count());
+        }
     }
 
-    fn expected_intervals(m: &Mesh, y: u16) -> Vec<(u16, u16)> {
-        // reference: maximal runs of free cells in the occupancy bits
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn occupy_outside_the_mesh_panics() {
+        // column 16 of a 16-wide mesh must not alias (0, 1)
+        let mut m = Mesh::new(16, 22);
+        m.occupy(Coord::new(16, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn release_outside_the_mesh_panics() {
+        let mut m = Mesh::new(16, 22);
+        m.occupy(Coord::new(0, 1));
+        m.release(Coord::new(16, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn release_past_the_last_row_panics() {
+        let mut m = Mesh::new(70, 3);
+        m.release(Coord::new(0, 3));
+    }
+
+    /// Drives `steps` random operations on a `w × l` mesh — mostly
+    /// single-cell toggles, plus sub-mesh occupies and releases that may
+    /// cross a word boundary — calling `check(mesh, step, changed, freed)`
+    /// after each, where `changed` cells flipped and `freed` says whether
+    /// they were released.
+    fn churn(w: u16, l: u16, seed: u64, steps: usize, mut check: impl FnMut(&Mesh, usize, u64, bool)) {
+        let mut m = Mesh::new(w, l);
+        let mut seed = seed;
+        let mut rng = move |n: u16| {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((seed >> 33) % u64::from(n)) as u16
+        };
+        for step in 0..steps {
+            let c = Coord::new(rng(w), rng(l));
+            let s = SubMesh::from_base_size(c, 1 + rng(w - c.x), 1 + rng((l - c.y).min(3)));
+            let (changed, freed) = if rng(4) == 0 && m.submesh_free(&s) {
+                m.occupy_submesh(&s);
+                (s.size(), false)
+            } else if rng(4) == 0 && s.iter().all(|c| m.is_occupied(c)) {
+                m.release_submesh(&s);
+                (s.size(), true)
+            } else if m.is_free(c) {
+                m.occupy(c);
+                (1, false)
+            } else {
+                m.release(c);
+                (1, true)
+            };
+            check(&m, step, u64::from(changed), freed);
+        }
+    }
+
+    fn expected_runs(m: &Mesh, y: u16) -> Vec<(usize, usize)> {
+        // reference: maximal runs of free cells, walked cell by cell
         let mut runs = Vec::new();
-        let mut start: Option<u16> = None;
-        for x in 0..m.width() {
-            if m.is_free(Coord::new(x, y)) {
+        let mut start: Option<usize> = None;
+        for x in 0..m.width() as usize {
+            if m.is_free(Coord::new(x as u16, y)) {
                 start.get_or_insert(x);
             } else if let Some(s) = start.take() {
                 runs.push((s, x - 1));
             }
         }
         if let Some(s) = start {
-            runs.push((s, m.width() - 1));
+            runs.push((s, m.width() as usize - 1));
         }
         runs
     }
 
     #[test]
-    fn free_interval_index_tracks_occupancy_under_churn() {
-        let mut m = Mesh::new(9, 7);
-        let mut seed = 0xC0FFEEu64;
-        let mut rng = move || {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (seed >> 33) as usize
-        };
-        for _ in 0..4000 {
-            let c = Coord::new((rng() % 9) as u16, (rng() % 7) as u16);
-            if m.is_free(c) {
-                m.occupy(c);
-            } else {
-                m.release(c);
-            }
-            let y = c.y;
-            assert_eq!(m.row_free_intervals(y), expected_intervals(&m, y), "row {y}");
-        }
-        for y in 0..7 {
-            assert_eq!(m.row_free_intervals(y), expected_intervals(&m, y));
-            // spot-check span counting against the raw bits
-            let naive: u32 = (2..=6u16).filter(|&x| m.is_free(Coord::new(x, y))).count() as u32;
-            assert_eq!(m.free_in_row_span(y, 2, 6), naive);
+    fn row_runs_track_occupancy_under_churn() {
+        for (w, l) in [(9u16, 7u16), (70, 7)] {
+            churn(w, l, 0xC0FFEE, 4000, |m, step, _, _| {
+                for y in 0..l {
+                    let expected = expected_runs(m, y);
+                    assert_eq!(runs(m.row(y)).collect::<Vec<_>>(), expected, "{w}x{l} step {step} row {y}");
+                    let longest = expected.iter().map(|&(a, b)| b - a + 1).max().unwrap_or(0);
+                    assert_eq!(m.row_max_run[y as usize] as usize, longest, "{w}x{l} step {step} row {y}");
+                    // span counting across the word boundary, against the cells
+                    let naive = (2..w - 2).filter(|&x| m.is_free(Coord::new(x, y))).count() as u32;
+                    assert_eq!(m.free_in_row_span(y, 2, w - 3), naive, "{w}x{l} step {step} row {y}");
+                }
+                let popcount: u32 = m.bits.iter().map(|b| b.count_ones()).sum();
+                assert_eq!(popcount, m.free_count(), "{w}x{l} step {step}");
+            });
         }
     }
 
     #[test]
-    fn interval_index_submesh_ops_and_clear() {
-        let mut m = Mesh::new(8, 8);
-        let s = SubMesh::from_base_size(Coord::new(2, 1), 4, 3);
+    fn row_runs_after_submesh_ops_and_clear() {
+        let mut m = Mesh::new(70, 8);
+        // columns 60..=66 straddle the boundary between a row's two words
+        let s = SubMesh::from_base_size(Coord::new(60, 1), 7, 3);
         m.occupy_submesh(&s);
         for y in 1..4 {
-            assert_eq!(m.row_free_intervals(y), &[(0, 1), (6, 7)]);
-            assert_eq!(m.free_in_row_span(y, 0, 7), 4);
+            assert_eq!(runs(m.row(y)).collect::<Vec<_>>(), [(0, 59), (67, 69)]);
+            assert_eq!(m.free_in_row_span(y, 0, 69), 63);
         }
-        assert_eq!(m.row_free_intervals(0), &[(0, 7)]);
+        assert_eq!(runs(m.row(0)).collect::<Vec<_>>(), [(0, 69)]);
+        assert_eq!(m.max_free_run(), 70);
         m.release_submesh(&s);
         for y in 0..8 {
-            assert_eq!(m.row_free_intervals(y), &[(0, 7)]);
+            assert_eq!(runs(m.row(y)).collect::<Vec<_>>(), [(0, 69)]);
         }
-        m.occupy(Coord::new(4, 4));
+        m.occupy(Coord::new(64, 4));
+        assert_eq!(runs(m.row(4)).collect::<Vec<_>>(), [(0, 63), (65, 69)]);
         m.clear();
-        assert_eq!(m.row_free_intervals(4), &[(0, 7)]);
+        assert_eq!(runs(m.row(4)).collect::<Vec<_>>(), [(0, 69)]);
+        assert_eq!(m.free_count(), 560);
     }
 
     #[test]
@@ -697,8 +696,8 @@ mod tests {
     }
 
     fn brute_watermarks(m: &Mesh) -> (u16, u16) {
-        // reference recount from the raw occupancy bits: longest free
-        // run over all rows, and rows containing a free cell
+        // reference recount cell by cell: longest free run over all rows,
+        // and rows containing a free cell
         let mut max_run = 0u16;
         let mut free_rows = 0u16;
         for y in 0..m.length() {
@@ -720,27 +719,19 @@ mod tests {
 
     #[test]
     fn watermarks_match_brute_force_under_churn() {
-        let mut m = Mesh::new(9, 7);
-        let mut seed = 0xBADC0DEu64;
-        let mut rng = move || {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (seed >> 33) as usize
-        };
-        let mut releases = 0u64;
-        for step in 0..4000 {
-            let c = Coord::new((rng() % 9) as u16, (rng() % 7) as u16);
-            let epoch_before = m.epoch();
-            if m.is_free(c) {
-                m.occupy(c);
-            } else {
-                m.release(c);
-                releases += 1;
-            }
-            assert_eq!(m.epoch(), epoch_before + 1, "step {step}");
-            assert_eq!(m.release_epoch(), releases, "step {step}");
-            let (max_run, free_rows) = brute_watermarks(&m);
-            assert_eq!(m.max_free_run(), max_run, "step {step}");
-            assert_eq!(m.free_rows(), free_rows, "step {step}");
+        for (w, l) in [(9u16, 7u16), (70, 7)] {
+            let (mut epoch, mut releases) = (0u64, 0u64);
+            churn(w, l, 0xBADC0DE, 4000, |m, step, changed, freed| {
+                epoch += changed;
+                if freed {
+                    releases += changed;
+                }
+                assert_eq!(m.epoch(), epoch, "{w}x{l} step {step}");
+                assert_eq!(m.release_epoch(), releases, "{w}x{l} step {step}");
+                let (max_run, free_rows) = brute_watermarks(m);
+                assert_eq!(m.max_free_run(), max_run, "{w}x{l} step {step}");
+                assert_eq!(m.free_rows(), free_rows, "{w}x{l} step {step}");
+            });
         }
     }
 

@@ -1,73 +1,95 @@
-//! Free-rectangle searches over the occupancy grid.
+//! Free-rectangle searches over the mesh's row free masks.
 //!
-//! Two queries drive the allocation strategies:
+//! Three queries drive the allocation strategies:
 //!
 //! * [`find_free_submesh`] — the first (row-major base order) entirely free
 //!   `w × l` sub-mesh, used by contiguous allocation and by GABL's initial
 //!   "suitable sub-mesh" test (paper Definition 4).
+//! * [`try_free_submeshes`] — every entirely free `w × l` sub-mesh in the
+//!   same base order, for strategies that score placements (contiguous
+//!   Best-Fit).
 //! * [`largest_free_rect`] — the largest entirely free rectangle whose
 //!   sides are capped, used by GABL's greedy partitioning ("the largest
 //!   free sub-mesh whose side lengths do not exceed the corresponding side
 //!   lengths of the previously allocated sub-mesh", paper §3).
+//!
+//! All of them read [`Mesh`]'s row free masks (`ceil(W / 64)` `u64` words
+//! per row, set bit = free): stacking rows is a word-wise AND, and the
+//! free runs of a row are found with `trailing_zeros` on the mask and on
+//! its complement. Scratch buffers live on the stack for meshes up to
+//! `64 × STACK_WORDS` = 256 wide, so those searches allocate nothing.
+
+use std::ops::ControlFlow;
 
 use crate::coord::Coord;
-use crate::mesh::Mesh;
+use crate::mesh::{runs, Mesh, WORD};
 use crate::submesh::SubMesh;
 
-/// Intersects two sorted disjoint interval lists into `out` (cleared
-/// first): the columns covered by both. Standard two-pointer sweep,
-/// O(|a| + |b|). The building block for stacking the per-row free
-/// intervals of [`Mesh::row_free_intervals`] into free-rectangle
-/// candidates; exposed so allocation strategies can run their own
-/// interval-driven probes.
-pub fn intersect_intervals(a: &[(u16, u16)], b: &[(u16, u16)], out: &mut Vec<(u16, u16)>) {
-    out.clear();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let lo = a[i].0.max(b[j].0);
-        let hi = a[i].1.min(b[j].1);
-        if lo <= hi {
-            out.push((lo, hi));
-        }
-        if a[i].1 <= b[j].1 {
-            i += 1;
-        } else {
-            j += 1;
-        }
+/// Row-mask words a search keeps on the stack.
+const STACK_WORDS: usize = 4;
+
+/// Runs `f` on a zeroed scratch slice of `n` elements: on the stack when
+/// `n <= N`, on the heap otherwise.
+fn with_scratch<T: Copy + Default, const N: usize, R>(n: usize, f: impl FnOnce(&mut [T]) -> R) -> R {
+    if n <= N {
+        f(&mut [T::default(); N][..n])
+    } else {
+        f(&mut vec![T::default(); n])
     }
 }
 
 /// Finds the first entirely free `w × l` sub-mesh, scanning candidate bases
 /// in row-major order. Returns `None` when no such sub-mesh exists (the
 /// external-fragmentation case motivating the paper).
-///
-/// Walks the mesh's incremental per-row free-interval index: for each base
-/// row the free runs of the `l` stacked rows are intersected and the first
-/// intersection at least `w` wide wins. Cost is proportional to the number
-/// of free intervals, not to `W × L`. Requests that exceed a free-space
-/// watermark ([`Mesh::could_fit_rect`]) are rejected in O(1) without
-/// touching the index at all — the saturated-queue hot case.
 pub fn find_free_submesh(mesh: &Mesh, w: u16, l: u16) -> Option<SubMesh> {
+    try_free_submeshes(mesh, w, l, ControlFlow::Break)
+}
+
+/// Calls `visit` on every entirely free `w × l` sub-mesh in row-major
+/// base order (base rows bottom-up, then columns left to right) until it
+/// returns `Break`, and returns the break value; `None` when every free
+/// sub-mesh was visited.
+///
+/// Requests that exceed a free-space watermark ([`Mesh::could_fit_rect`])
+/// are rejected in O(1) without reading a mask — the saturated-queue hot
+/// case. Otherwise, per base row `y`, the masks of rows `y..y+l` are
+/// ANDed (stopping as soon as the result is zero), and every maximal run
+/// of the result at least `w` wide yields its bases.
+pub fn try_free_submeshes<B>(
+    mesh: &Mesh,
+    w: u16,
+    l: u16,
+    mut visit: impl FnMut(SubMesh) -> ControlFlow<B>,
+) -> Option<B> {
     if !mesh.could_fit_rect(w, l) {
         return None;
     }
-    let mut acc: Vec<(u16, u16)> = Vec::new();
-    let mut next: Vec<(u16, u16)> = Vec::new();
-    for y in 0..=(mesh.length() - l) {
-        acc.clear();
-        acc.extend_from_slice(mesh.row_free_intervals(y));
-        for r in (y + 1)..(y + l) {
-            if acc.is_empty() {
-                break;
+    let w_cols = w as usize;
+    with_scratch::<u64, STACK_WORDS, _>(mesh.row(0).len(), |acc| {
+        for y in 0..=(mesh.length() - l) {
+            acc.copy_from_slice(mesh.row(y));
+            for r in (y + 1)..(y + l) {
+                let mut any = 0;
+                for (a, &b) in acc.iter_mut().zip(mesh.row(r)) {
+                    *a &= b;
+                    any |= *a;
+                }
+                if any == 0 {
+                    break;
+                }
             }
-            intersect_intervals(&acc, mesh.row_free_intervals(r), &mut next);
-            std::mem::swap(&mut acc, &mut next);
+            for (a, b) in runs(acc).filter(|&(a, b)| b + 1 - a >= w_cols) {
+                for x in a..=(b + 1 - w_cols) {
+                    // procsim-lint: allow(D005): x is a column of the mesh, whose width is a u16
+                    let s = SubMesh::from_base_size(Coord::new(x as u16, y), w, l);
+                    if let ControlFlow::Break(v) = visit(s) {
+                        return Some(v);
+                    }
+                }
+            }
         }
-        if let Some(&(a, _)) = acc.iter().find(|&&(a, b)| b - a + 1 >= w) {
-            return Some(SubMesh::from_base_size(Coord::new(a, y), w, l));
-        }
-    }
-    None
+        None
+    })
 }
 
 /// Finds the largest entirely free rectangle with `width <= cap_w` and
@@ -88,22 +110,25 @@ pub fn largest_free_rect(mesh: &Mesh, cap_w: u16, cap_l: u16) -> Option<SubMesh>
 /// "the largest free sub-mesh", leaving ties free — breaking them towards
 /// the job's existing pieces is what "maintaining a high degree of
 /// contiguity" requires.
+///
+/// The scan is a histogram-of-heights sweep: for each top row `y`, the
+/// free column heights are bumped inside the row's free runs and reset
+/// elsewhere, and each window start `x0` inside a run extends right (never
+/// past the run) while tracking the minimum height. The winner is the
+/// first candidate, in (`y`, `x0`, `x1`) order, with the largest area and
+/// then the smallest anchor distance.
 pub fn largest_free_rect_near(
     mesh: &Mesh,
     cap_w: u16,
     cap_l: u16,
     anchor: Option<Coord>,
 ) -> Option<SubMesh> {
-    let (w, l) = (mesh.width() as usize, mesh.length() as usize);
+    let w = mesh.width() as usize;
     let cap_w = cap_w.min(mesh.width()) as usize;
     let cap_l = cap_l.min(mesh.length()) as usize;
     if cap_w == 0 || cap_l == 0 {
         return None;
     }
-    let mut heights = vec![0usize; w];
-    // lexicographic objective: maximize area, then minimize distance of
-    // the rectangle centre to the anchor (0 when no anchor)
-    let mut best: Option<(u32, u32, SubMesh)> = None;
     let dist_to_anchor = |s: &SubMesh| -> u32 {
         match anchor {
             None => 0,
@@ -114,55 +139,58 @@ pub fn largest_free_rect_near(
             }
         }
     };
-
-    // Histogram-of-heights sweep driven by the incremental free-interval
-    // index: per row, heights are bumped only inside free runs (occupied
-    // spans are bulk-reset), and window starts are enumerated per free
-    // run — candidate rectangles of a row always lie inside one of its
-    // free runs, so this visits exactly the candidates the full-grid scan
-    // would, in the same order, at a cost proportional to free cells.
-    for y in 0..l {
-        let ivs = mesh.row_free_intervals(y as u16);
-        let mut edge = 0usize; // first column not yet reset/bumped
-        for &(a, b) in ivs {
-            let (a, b) = (a as usize, b as usize);
-            heights[edge..a].fill(0);
-            for h in &mut heights[a..=b] {
-                *h += 1;
+    with_scratch::<u16, { STACK_WORDS * WORD }, _>(w, |heights| {
+        // lexicographic objective: maximize area, then minimize distance of
+        // the rectangle centre to the anchor (0 when no anchor)
+        let mut best: Option<(u32, u32, SubMesh)> = None;
+        for y in 0..mesh.length() {
+            let row = mesh.row(y);
+            let mut edge = 0usize; // first column not yet reset/bumped
+            for (a, b) in runs(row) {
+                heights[edge..a].fill(0);
+                for h in &mut heights[a..=b] {
+                    *h += 1;
+                }
+                edge = b + 1;
             }
-            edge = b + 1;
-        }
-        heights[edge..w].fill(0);
-        // For each window start inside a free run, extend right while
-        // tracking min height (never past the run: height drops to 0).
-        for &(ia, ib) in ivs {
-            let (ia, ib) = (ia as usize, ib as usize);
-            for x0 in ia..=ib {
-                let mut min_h = usize::MAX;
-                let max_x1 = (x0 + cap_w).min(ib + 1);
-                for (x1, &h1) in heights.iter().enumerate().take(max_x1).skip(x0) {
-                    min_h = min_h.min(h1);
-                    let h = min_h.min(cap_l);
-                    let area = ((x1 - x0 + 1) * h) as u32;
-                    let improves_area = best.as_ref().is_none_or(|(a, _, _)| area > *a);
-                    let ties_area = best.as_ref().is_some_and(|(a, _, _)| area == *a);
-                    if improves_area || (ties_area && anchor.is_some()) {
-                        // procsim-lint: allow(D005): x0/x1/y/h index the histogram of a mesh whose dimensions are u16
-                        let s = SubMesh::from_base_size(
-                            Coord::new(x0 as u16, (y + 1 - h) as u16),
-                            (x1 - x0 + 1) as u16,
-                            h as u16,
-                        );
-                        let d = dist_to_anchor(&s);
-                        if improves_area || best.as_ref().is_some_and(|(_, bd, _)| d < *bd) {
-                            best = Some((area, d, s));
+            heights[edge..w].fill(0);
+            for (ia, ib) in runs(row) {
+                let run_h = heights[ia..=ib].iter().copied().max().unwrap_or(0) as usize;
+                for x0 in ia..=ib {
+                    // No window from x0 on is wider than the rest of the run
+                    // or taller than its tallest column. The bound only
+                    // shrinks as x0 moves right, and a strictly smaller
+                    // area never replaces `best`, so the scan of this run
+                    // can stop: the result is the unpruned scan's.
+                    let bound = (cap_w.min(ib - x0 + 1) * run_h.min(cap_l)) as u32;
+                    if best.as_ref().is_some_and(|(a, _, _)| bound < *a) {
+                        break;
+                    }
+                    let mut min_h = usize::MAX;
+                    for (x1, &h1) in heights.iter().enumerate().take((x0 + cap_w).min(ib + 1)).skip(x0) {
+                        min_h = min_h.min(h1 as usize);
+                        let h = min_h.min(cap_l);
+                        let area = ((x1 - x0 + 1) * h) as u32;
+                        let improves_area = best.as_ref().is_none_or(|(a, _, _)| area > *a);
+                        let ties_area = best.as_ref().is_some_and(|(a, _, _)| area == *a);
+                        if improves_area || (ties_area && anchor.is_some()) {
+                            // procsim-lint: allow(D005): x0/x1/y/h index the histogram of a mesh whose dimensions are u16
+                            let s = SubMesh::from_base_size(
+                                Coord::new(x0 as u16, y + 1 - h as u16),
+                                (x1 - x0 + 1) as u16,
+                                h as u16,
+                            );
+                            let d = dist_to_anchor(&s);
+                            if improves_area || best.as_ref().is_some_and(|(_, bd, _)| d < *bd) {
+                                best = Some((area, d, s));
+                            }
                         }
                     }
                 }
             }
         }
-    }
-    best.map(|(_, _, s)| s)
+        best.map(|(_, _, s)| s)
+    })
 }
 
 #[cfg(test)]
@@ -269,78 +297,124 @@ mod tests {
         assert_eq!(s.base, Coord::new(2, 2));
     }
 
+    /// Widths covering rows of one, two and three words, with and without
+    /// a partial last word.
+    const ORACLE_DIMS: [(u16, u16); 6] = [(16, 22), (63, 5), (64, 5), (65, 5), (128, 9), (130, 9)];
+
+    /// A test oracle independent of the row masks: a 2D prefix sum of the
+    /// free cells, for O(1) "is this rectangle free".
+    struct Grid {
+        w: usize,
+        l: usize,
+        /// `sum[y][x]` = free cells in columns `< x` of rows `< y`.
+        sum: Vec<u32>,
+    }
+
+    impl Grid {
+        /// A random occupancy (roughly `percent` % busy) on a fresh mesh and
+        /// its oracle.
+        fn random(w: u16, l: u16, percent: u64, seed: &mut u64) -> (Mesh, Grid) {
+            let mut m = Mesh::new(w, l);
+            let (wu, lu) = (w as usize, l as usize);
+            let mut free = vec![true; wu * lu];
+            for y in 0..l {
+                for x in 0..w {
+                    *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    if (*seed >> 33) % 100 < percent {
+                        m.occupy(Coord::new(x, y));
+                        free[y as usize * wu + x as usize] = false;
+                    }
+                }
+            }
+            let mut sum = vec![0u32; (wu + 1) * (lu + 1)];
+            for y in 0..lu {
+                for x in 0..wu {
+                    sum[(y + 1) * (wu + 1) + x + 1] = u32::from(free[y * wu + x])
+                        + sum[y * (wu + 1) + x + 1]
+                        + sum[(y + 1) * (wu + 1) + x]
+                        - sum[y * (wu + 1) + x];
+                }
+            }
+            (m, Grid { w: wu, l: lu, sum })
+        }
+
+        /// Whether the `w × l` rectangle based at `(x, y)` lies in the mesh
+        /// and is entirely free.
+        fn rect_free(&self, x: usize, y: usize, w: usize, l: usize) -> bool {
+            if x + w > self.w || y + l > self.l {
+                return false;
+            }
+            let s = |x: usize, y: usize| self.sum[y * (self.w + 1) + x];
+            s(x + w, y + l) + s(x, y) - s(x, y + l) - s(x + w, y) == (w * l) as u32
+        }
+    }
+
     #[test]
     fn find_matches_naive_scan_on_random_meshes() {
-        // the interval-driven search must return exactly what a full
+        // the mask-driven search must return exactly what a full
         // row-major probe over the occupancy grid returns (same first
         // base), on many random occupancy patterns
         let mut seed = 99u64;
-        for case in 0..60 {
-            let mut m = Mesh::new(10, 8);
-            for y in 0..8u16 {
-                for x in 0..10u16 {
-                    seed = seed
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    if (seed >> 33) % 10 < 3 + case % 5 {
-                        m.occupy(Coord::new(x, y));
-                    }
+        let dims = [(10u16, 8u16)].into_iter().chain(ORACLE_DIMS);
+        for (mw, ml) in dims {
+            for case in 0..30u64 {
+                let (m, g) = Grid::random(mw, ml, 30 + 10 * (case % 5), &mut seed);
+                for (w, l) in [(1u16, 1u16), (2, 2), (3, 2), (2, 5), (4, 4), (mw, ml), (mw, 1), (40, 2)] {
+                    let naive = (0..ml as usize)
+                        .flat_map(|y| (0..mw as usize).map(move |x| (x, y)))
+                        .find(|&(x, y)| g.rect_free(x, y, w as usize, l as usize))
+                        .map(|(x, y)| SubMesh::from_base_size(Coord::new(x as u16, y as u16), w, l));
+                    assert_eq!(find_free_submesh(&m, w, l), naive, "{mw}x{ml} case {case} shape {w}x{l}");
                 }
-            }
-            for (w, l) in [(1u16, 1u16), (2, 2), (3, 2), (2, 5), (4, 4), (10, 8)] {
-                let naive = (0..=(8 - l))
-                    .flat_map(|y| (0..=(10 - w)).map(move |x| (x, y)))
-                    .map(|(x, y)| SubMesh::from_base_size(Coord::new(x, y), w, l))
-                    .find(|s| m.submesh_free(s));
-                assert_eq!(find_free_submesh(&m, w, l), naive, "case {case} shape {w}x{l}");
             }
         }
     }
 
-    #[test]
-    fn intersect_intervals_matches_set_semantics() {
-        let a = [(0u16, 3u16), (5, 5), (8, 12)];
-        let b = [(2u16, 6u16), (9, 9), (11, 14)];
-        let mut out = Vec::new();
-        intersect_intervals(&a, &b, &mut out);
-        assert_eq!(out, vec![(2, 3), (5, 5), (9, 9), (11, 12)]);
-        intersect_intervals(&a, &[], &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn largest_rect_result_is_free() {
-        // pseudo-random pattern, exhaustively verify result freeness and
-        // that no *strictly larger* capped free rect exists.
-        let mut m = Mesh::new(7, 6);
-        let mut seed = 12345u64;
-        for y in 0..6u16 {
-            for x in 0..7u16 {
-                seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                if (seed >> 33).is_multiple_of(3) {
-                    m.occupy(Coord::new(x, y));
+    /// Exhaustive reference for [`largest_free_rect_near`]: over every
+    /// free rectangle within the caps, the minimum of (−area, anchor
+    /// distance, top row, left column, right column) — the largest area,
+    /// then the nearest centre, then the first in the sweep's scan order.
+    fn oracle_largest(g: &Grid, cap_w: usize, cap_l: usize, anchor: Option<Coord>) -> Option<SubMesh> {
+        let mut free_rects = Vec::new();
+        for y in 0..g.l {
+            for x in 0..g.w {
+                for l in 1..=cap_l.min(g.l - y) {
+                    for w in (1..=cap_w.min(g.w - x)).take_while(|&w| g.rect_free(x, y, w, l)) {
+                        let base = Coord::new(x as u16, y as u16);
+                        free_rects.push(SubMesh::from_base_size(base, w as u16, l as u16));
+                    }
                 }
             }
         }
-        for (cw, cl) in [(7u16, 6u16), (3, 3), (2, 6), (7, 1)] {
-            if let Some(s) = largest_free_rect(&m, cw, cl) {
-                assert!(m.submesh_free(&s));
-                assert!(s.width() <= cw && s.length() <= cl);
-                // brute force: no larger free rect under caps
-                let mut best = 0;
-                for y0 in 0..6u16 {
-                    for x0 in 0..7u16 {
-                        for h in 1..=cl.min(6 - y0) {
-                            for w in 1..=cw.min(7 - x0) {
-                                let cand = SubMesh::from_base_size(Coord::new(x0, y0), w, h);
-                                if m.submesh_free(&cand) {
-                                    best = best.max(cand.size());
-                                }
-                            }
-                        }
+        let dist = |s: &SubMesh| {
+            anchor.map_or(0, |a| {
+                let cx = (s.base.x as u32 + s.end.x as u32) / 2;
+                let cy = (s.base.y as u32 + s.end.y as u32) / 2;
+                cx.abs_diff(a.x as u32) + cy.abs_diff(a.y as u32)
+            })
+        };
+        free_rects
+            .into_iter()
+            .min_by_key(|s| (std::cmp::Reverse(s.size()), dist(s), s.end.y, s.base.x, s.end.x))
+    }
+
+    #[test]
+    fn largest_rect_matches_exhaustive_oracle_on_random_meshes() {
+        let mut seed = 7u64;
+        for (mw, ml) in ORACLE_DIMS {
+            for case in 0..6u64 {
+                let (m, g) = Grid::random(mw, ml, 40 + 10 * (case % 5), &mut seed);
+                let caps = [(mw, ml), (4, 4), (2, 7), (70, 2), (3, 1)];
+                let anchors = [None, Some(Coord::new(mw / 2, ml / 2)), Some(Coord::new(mw - 1, 0))];
+                for (cw, cl) in caps {
+                    for anchor in anchors {
+                        assert_eq!(
+                            largest_free_rect_near(&m, cw, cl, anchor),
+                            oracle_largest(&g, cw.min(mw) as usize, cl.min(ml) as usize, anchor),
+                            "{mw}x{ml} case {case} caps {cw}x{cl} anchor {anchor:?}"
+                        );
                     }
                 }
-                assert_eq!(s.size(), best, "caps ({cw},{cl})");
             }
         }
     }
