@@ -9,7 +9,7 @@
 use std::ops::ControlFlow;
 
 use crate::{AllocId, Allocation, AllocationStrategy};
-use mesh2d::{Coord, Mesh, SubMesh};
+use mesh2d::{Mesh, SubMesh};
 
 /// Contiguous first-fit: the first free `a × b` (or `b × a`) sub-mesh in
 /// row-major base order.
@@ -88,19 +88,17 @@ impl BestFit {
     /// Number of *free* processors adjacent to the perimeter of `s`
     /// (processors outside `s` sharing a link with it). Lower is snugger.
     /// The rows below and above are masked popcounts of the mesh's row
-    /// free masks; the two flanking columns are bit tests.
+    /// free masks; the two flanking columns are one bit test per row.
     fn boundary_freeness(mesh: &Mesh, s: &SubMesh) -> u32 {
         let mut free_neighbors = 0u32;
         let (bx, by) = (s.base.x, s.base.y);
         let (ex, ey) = (s.end.x, s.end.y);
         // left and right columns
-        for y in by..=ey {
-            if bx > 0 && mesh.is_free(Coord::new(bx - 1, y)) {
-                free_neighbors += 1;
-            }
-            if ex + 1 < mesh.width() && mesh.is_free(Coord::new(ex + 1, y)) {
-                free_neighbors += 1;
-            }
+        if bx > 0 {
+            free_neighbors += mesh.free_in_col_span(bx - 1, by, ey);
+        }
+        if ex + 1 < mesh.width() {
+            free_neighbors += mesh.free_in_col_span(ex + 1, by, ey);
         }
         // bottom and top rows
         if by > 0 {
@@ -190,6 +188,7 @@ impl AllocationStrategy for BestFit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mesh2d::Coord;
 
     #[test]
     fn first_fit_allocates_origin_first() {

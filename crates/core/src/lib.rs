@@ -37,6 +37,9 @@ pub mod replicate;
 pub mod scenario;
 pub mod simulator;
 
+#[cfg(test)]
+mod sched_differential;
+
 pub use campaign::{
     cached_count, expand, run_campaign, CampaignError, CampaignOptions, CampaignOutcome,
     CampaignPoint,
@@ -46,7 +49,7 @@ pub use scenario::{PointSettings, Scenario, ScenarioError};
 pub use metrics::RunMetrics;
 pub use pool::WorkerPool;
 pub use replicate::{derive_seed, run_point_seq, run_points, PointResult};
-pub use simulator::{Simulator, StartDecision};
+pub use simulator::Simulator;
 
 // Re-export the vocabulary types callers configure with.
 pub use mesh_alloc::{PageIndexing, StrategyKind};

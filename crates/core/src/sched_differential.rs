@@ -4,10 +4,11 @@
 //! O(1) watermark feasibility rejection, reused attempt/observation
 //! buffers) must make bit-for-bit the same decisions as the
 //! pre-memoization `schedule_pass_reference`, which is kept verbatim in
-//! the simulator as the oracle. Both sides run the same configuration
-//! and the full per-job start logs (job id, start time, request shape,
-//! granted processors, fragment count) plus the end-of-run metrics are
-//! compared for equality.
+//! the simulator as the oracle and, like this module, compiled only for
+//! tests. Both sides run the same configuration and the full per-job
+//! start logs (job id, start time, request shape, granted processors,
+//! fragment count) plus the end-of-run metrics are compared for
+//! equality.
 //!
 //! The matrix deliberately crosses every axis that reaches a different
 //! code path in the pass:
@@ -23,8 +24,10 @@
 //!
 //! Runs in the plain and `--features invariants` CI jobs.
 
+// procsim-lint: test-only: included via `#[cfg(test)] mod sched_differential` in lib.rs; the oracle it drives is compiled for tests only
+
+use crate::{PageIndexing, RunMetrics, SimConfig, Simulator, StrategyKind, WorkloadSpec};
 use mesh_sched::SchedulerKind;
-use procsim_core::{PageIndexing, SimConfig, Simulator, StrategyKind, WorkloadSpec};
 use wormnet::TopologyKind;
 use workload::SideDist;
 
@@ -96,7 +99,7 @@ fn assert_identical(c: &SimConfig, rep: u64, tag: &str) {
     assert_eq!(fast_m.jobs, ref_m.jobs, "{tag}: job counts diverge");
     assert_eq!(fast_m.packets, ref_m.packets, "{tag}: packet counts diverge");
     assert_eq!(fast_m.end_time, ref_m.end_time, "{tag}: end times diverge");
-    let bits = |m: &procsim_core::RunMetrics| {
+    let bits = |m: &RunMetrics| {
         [
             m.mean_turnaround,
             m.mean_service,

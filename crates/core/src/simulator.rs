@@ -251,21 +251,25 @@ pub struct Simulator {
     /// Whether the active strategy's failures are stable until release
     /// (queried once at construction).
     memo_enabled: bool,
-    /// When present, every start decision is appended (differential-test
-    /// support; `None` in normal runs, costing one branch per start).
+    /// When present, every start decision is appended (the
+    /// differential battery's start log; test builds only).
+    #[cfg(test)]
     start_log: Option<Vec<StartDecision>>,
     /// Drive [`Simulator::schedule_pass_reference`] instead of the
-    /// memoized pass (the differential oracle).
+    /// memoized pass (the differential oracle; test builds only).
+    #[cfg(test)]
     reference_pass: bool,
 }
 
 /// One job-start decision — the complete observable outcome of a
 /// scheduling pass. Recorded by [`Simulator::run_recorded`] /
-/// [`Simulator::run_reference_recorded`] so differential tests can
-/// assert that the memoized scheduling pass and the reference oracle
-/// start the same jobs at the same times with the same allocations.
+/// [`Simulator::run_reference_recorded`] so the differential battery
+/// can assert that the memoized scheduling pass and the reference
+/// oracle start the same jobs at the same times with the same
+/// allocations.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StartDecision {
+pub(crate) struct StartDecision {
     /// Internal (arrival-order) job id.
     pub job_id: u64,
     /// Simulation time the job started service.
@@ -398,7 +402,9 @@ impl Simulator {
             snapshot_stale: false,
             failed_shapes: HashMap::new(),
             memo_enabled,
+            #[cfg(test)]
             start_log: None,
+            #[cfg(test)]
             reference_pass: false,
         }
     }
@@ -457,18 +463,19 @@ impl Simulator {
     }
 
     /// One scheduling pass: repeatedly attempt the policy's candidates
-    /// until a full pass starts nothing. Dispatches to the memoized pass
-    /// or, for differential runs, the pre-memoization reference.
+    /// until a full pass starts nothing. Test builds can divert it to
+    /// the pre-memoization reference for differential runs.
     fn schedule_pass(&mut self) {
+        #[cfg(test)]
         if self.reference_pass {
             self.schedule_pass_reference();
-        } else {
-            self.schedule_pass_fast();
+            return;
         }
+        self.schedule_pass_fast();
     }
 
-    /// The memoized scheduling pass. Identical decisions to
-    /// [`Simulator::schedule_pass_reference`] (pinned by the
+    /// The memoized scheduling pass. Identical decisions to the
+    /// test-only `schedule_pass_reference` (pinned by the
     /// `sched_differential` battery), reached with O(1) rejections:
     ///
     /// * the running-set snapshot for reservation-aware schedulers is
@@ -550,11 +557,13 @@ impl Simulator {
     }
 
     /// The pre-memoization scheduling pass, kept verbatim as the
-    /// differential oracle: rebuilds the observation snapshot and clones
-    /// the attempt order every iteration, and runs the full allocator
-    /// search for every candidate. `tests/sched_differential.rs` pins
+    /// differential oracle and compiled for tests only: rebuilds the
+    /// observation snapshot and clones the attempt order every
+    /// iteration, and runs the full allocator search for every
+    /// candidate. The `sched_differential` battery pins
     /// [`Simulator::schedule_pass_fast`] to this across strategies,
     /// schedulers, topologies and seeds.
+    #[cfg(test)]
     fn schedule_pass_reference(&mut self) {
         if self.scheduler.wants_observation() {
             let running: Vec<RunningJob> = self
@@ -579,12 +588,10 @@ impl Simulator {
             let mut started = false;
             for id in order {
                 let (a, b) = {
-                    // procsim-lint: allow(D004): invariant: every id in attempt_order was enqueued with a JobState in Ev::Arrival
                     let js = self.jobs.get(&id).expect("invariant: queued job without state");
                     (js.spec.a, js.spec.b)
                 };
                 if let Some(alloc) = self.strategy.allocate(&mut self.mesh, a, b) {
-                    // procsim-lint: allow(D004): invariant: id came from this scheduler's own attempt_order this pass
                     self.scheduler.remove(id).expect("invariant: job vanished from queue");
                     self.start_job(id, alloc);
                     started = true;
@@ -601,20 +608,20 @@ impl Simulator {
         self.util.update(self.now, self.mesh.used_count() as f64);
         // a new running job invalidates the cached observation snapshot
         self.snapshot_stale = true;
-        let (procs, fragments) = (alloc.size(), alloc.fragments());
         // procsim-lint: allow(D004): invariant: start_job is only reached from schedule_pass with a live queued id
         let js = self.jobs.get_mut(&id).expect("invariant: started job without state");
         js.start = self.now;
-        js.alloc = Some(alloc);
+        #[cfg(test)]
         if let Some(log) = self.start_log.as_mut() {
             log.push(StartDecision {
                 job_id: id,
                 at: js.start,
                 shape: (js.spec.a, js.spec.b),
-                procs,
-                fragments,
+                procs: alloc.size(),
+                fragments: alloc.fragments(),
             });
         }
+        js.alloc = Some(alloc);
         // the rank → coordinate layout was expanded once when the
         // allocation was built; every use below indexes the cached slice
         // procsim-lint: allow(D004): invariant: js.alloc was assigned Some two lines above
@@ -774,7 +781,8 @@ impl Simulator {
     /// shape, placement size/fragments) alongside the metrics. The log
     /// is the memoized pass's observable behaviour: two runs that agree
     /// on it and on the metrics made identical scheduling decisions.
-    pub fn run_recorded(mut self) -> (RunMetrics, Vec<StartDecision>) {
+    #[cfg(test)]
+    pub(crate) fn run_recorded(mut self) -> (RunMetrics, Vec<StartDecision>) {
         self.start_log = Some(Vec::new());
         let metrics = self.run_inner();
         (metrics, self.start_log.take().unwrap_or_default())
@@ -783,7 +791,8 @@ impl Simulator {
     /// Like [`Simulator::run_recorded`] but drives every pass through
     /// the pre-memoization `schedule_pass_reference` — the oracle side
     /// of the differential battery.
-    pub fn run_reference_recorded(mut self) -> (RunMetrics, Vec<StartDecision>) {
+    #[cfg(test)]
+    pub(crate) fn run_reference_recorded(mut self) -> (RunMetrics, Vec<StartDecision>) {
         self.reference_pass = true;
         self.start_log = Some(Vec::new());
         let metrics = self.run_inner();

@@ -44,11 +44,11 @@ exact, like integer addition) and suppress with a written reason.",
         explain: "Simulation state must be a pure function of (config, seed, rep). \
 `SystemTime`, `Instant::now`, `thread_rng` and `from_entropy` smuggle the \
 host's clock or entropy pool into that function. Timing instrumentation is \
-legitimate only in the bench crate and CLI front-ends, which report \
-wall-clock to humans without feeding it back into results.\n\n\
+legitimate only in binary front-ends, which report wall-clock to humans \
+without feeding it back into results.\n\n\
 Fix: thread a `SimRng` substream or the simulation clock through instead; \
-for front-end stopwatch code, keep it in `crates/bench` / a binary target, \
-or suppress with a reason explaining why the value cannot reach results.",
+for front-end stopwatch code, keep it in a binary target, or suppress \
+with a reason explaining why the value cannot reach results.",
     },
     RuleInfo {
         id: "D003",
@@ -167,10 +167,10 @@ impl FileCtx {
     }
 
     /// May this file use wall-clock timing (D002's Instant/SystemTime
-    /// carve-out)? Bench harness + binary front-ends report elapsed
-    /// time to humans; the value never reaches simulation state.
+    /// carve-out)? Binary front-ends report elapsed time to humans; the
+    /// value never reaches simulation state.
     fn may_use_wall_clock(&self) -> bool {
-        self.crate_name.as_deref() == Some("bench") || self.is_bin
+        self.is_bin
     }
 }
 

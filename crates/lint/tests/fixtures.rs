@@ -54,11 +54,11 @@ fn d002_triggers_on_wall_clock() {
 }
 
 #[test]
-fn d002_allows_wall_clock_in_bench_crates() {
+fn d002_allows_wall_clock_in_binaries() {
     let cfg = Config::deny_all("/nonexistent");
     let rep = lint_source(
         &cfg,
-        "crates/bench/src/lib.rs",
+        "crates/core/src/bin/tool.rs",
         &fixture("d002_trigger.rs"),
     );
     assert!(rep.findings.is_empty(), "{:?}", rep.findings);

@@ -190,15 +190,21 @@ impl Mesh {
     }
 
     /// Whether the processor at `c` is allocated.
+    ///
+    /// # Panics
+    /// Panics (in all builds) if `c` lies outside the mesh.
     #[inline]
     pub fn is_occupied(&self, c: Coord) -> bool {
         !self.is_free(c)
     }
 
     /// Whether the processor at `c` is free.
+    ///
+    /// # Panics
+    /// Panics (in all builds) if `c` lies outside the mesh.
     #[inline]
     pub fn is_free(&self, c: Coord) -> bool {
-        debug_assert!(self.contains(c), "coordinate {c} outside {}x{} mesh", self.w, self.l);
+        assert!(self.contains(c), "coordinate {c} outside {}x{} mesh", self.w, self.l);
         let x = c.x as usize;
         self.row(c.y)[x / WORD] >> (x % WORD) & 1 == 1
     }
@@ -433,11 +439,37 @@ impl Mesh {
 
     /// Number of free processors in columns `x0..=x1` of row `y`: a
     /// popcount of the row's mask under the span.
+    ///
+    /// # Panics
+    /// Panics (in all builds) if the span is empty or lies outside the
+    /// mesh.
     pub fn free_in_row_span(&self, y: u16, x0: u16, x1: u16) -> u32 {
-        debug_assert!(x0 <= x1 && x1 < self.w && y < self.l);
+        assert!(
+            x0 <= x1 && x1 < self.w && y < self.l,
+            "row span {x0}..={x1} of row {y} empty or outside {}x{} mesh",
+            self.w,
+            self.l
+        );
         let (x0, x1) = (x0 as usize, x1 as usize);
         let row = self.row(y);
         (x0 / WORD..=x1 / WORD).map(|i| (row[i] & span_mask(i, x0, x1)).count_ones()).sum()
+    }
+
+    /// Number of free processors in rows `y0..=y1` of column `x`: one bit
+    /// test per row, with one bounds check for the whole span.
+    ///
+    /// # Panics
+    /// Panics (in all builds) if the span is empty or lies outside the
+    /// mesh.
+    pub fn free_in_col_span(&self, x: u16, y0: u16, y1: u16) -> u32 {
+        assert!(
+            y0 <= y1 && y1 < self.l && x < self.w,
+            "column span {y0}..={y1} of column {x} empty or outside {}x{} mesh",
+            self.w,
+            self.l
+        );
+        let (word, bit) = (x as usize / WORD, x as usize % WORD);
+        (y0..=y1).map(|y| (self.row(y)[word] >> bit) as u32 & 1).sum()
     }
 
     /// Sets every row's mask to all-free and resets the free count and
@@ -580,6 +612,40 @@ mod tests {
         m.release(Coord::new(0, 3));
     }
 
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn is_free_outside_the_mesh_panics() {
+        // column 16 is a clear padding bit of row 0's word: without the
+        // check it would read as "occupied"
+        Mesh::new(16, 22).is_free(Coord::new(16, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn is_occupied_past_the_last_row_panics() {
+        Mesh::new(16, 22).is_occupied(Coord::new(0, 22));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn free_in_row_span_past_the_last_column_panics() {
+        // the span would otherwise count row 0's padding bits
+        Mesh::new(16, 22).free_in_row_span(0, 10, 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn free_in_row_span_past_the_last_row_panics() {
+        Mesh::new(16, 22).free_in_row_span(22, 0, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn free_in_col_span_past_the_last_column_panics() {
+        // column 16 is padding in every row
+        Mesh::new(16, 22).free_in_col_span(16, 0, 3);
+    }
+
     /// Drives `steps` random operations on a `w × l` mesh — mostly
     /// single-cell toggles, plus sub-mesh occupies and releases that may
     /// cross a word boundary — calling `check(mesh, step, changed, freed)`
@@ -641,6 +707,10 @@ mod tests {
                     // span counting across the word boundary, against the cells
                     let naive = (2..w - 2).filter(|&x| m.is_free(Coord::new(x, y))).count() as u32;
                     assert_eq!(m.free_in_row_span(y, 2, w - 3), naive, "{w}x{l} step {step} row {y}");
+                }
+                for x in [0, w / 2, w - 1] {
+                    let naive = (1..l - 1).filter(|&y| m.is_free(Coord::new(x, y))).count() as u32;
+                    assert_eq!(m.free_in_col_span(x, 1, l - 2), naive, "{w}x{l} step {step} column {x}");
                 }
                 let popcount: u32 = m.bits.iter().map(|b| b.count_ones()).sum();
                 assert_eq!(popcount, m.free_count(), "{w}x{l} step {step}");

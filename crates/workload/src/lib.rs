@@ -36,6 +36,9 @@ pub mod stochastic;
 pub mod swf;
 pub mod trace;
 
+#[cfg(test)]
+mod streaming_equivalence;
+
 use desim::Time;
 use serde::{Deserialize, Serialize};
 
@@ -45,9 +48,7 @@ pub use paragon::{
 };
 pub use stats::{summarize, summarize_stream, StreamingSummary, TraceSummary};
 pub use stochastic::{SideDist, StochasticGen};
-pub use swf::{
-    parse_swf, parse_swf_retained, write_swf, write_swf_to, SwfError, SwfErrorKind, SwfRecords,
-};
+pub use swf::{parse_swf, write_swf, write_swf_to, SwfError, SwfErrorKind, SwfRecords};
 pub use trace::{RecordIter, ScaledJobs, TraceError, TraceWorkload};
 
 /// One job as consumed by the simulator.

@@ -1,6 +1,7 @@
 //! Differential battery: the streaming SWF parser ([`SwfRecords`]) vs
-//! the retained oracle ([`parse_swf_retained`]), and the file-backed
-//! streaming workload ([`TraceWorkload::open`]) vs the retained one
+//! the retained oracle ([`parse_swf_retained`], compiled for tests
+//! only), and the file-backed streaming workload
+//! ([`TraceWorkload::open`]) vs the retained one
 //! ([`TraceWorkload::from_swf`]).
 //!
 //! The two parsers deliberately share no code (`swf.rs` keeps an inline
@@ -13,11 +14,12 @@
 //! additionally re-parsed through a 3-byte `BufReader` so `read_until`
 //! crosses buffer refills mid-line.
 
+// procsim-lint: test-only: included via `#[cfg(test)] mod streaming_equivalence` in lib.rs; the oracle it drives is compiled for tests only
+
+use crate::swf::parse_swf_retained;
+use crate::{write_swf, SwfError, SwfRecords, TraceRecord, TraceWorkload};
 use proptest::prelude::*;
 use std::io::BufReader;
-use workload::{
-    parse_swf_retained, write_swf, SwfError, SwfRecords, TraceRecord, TraceWorkload,
-};
 
 /// The checked-in 600-job sample the golden CSV replays.
 const SAMPLE: &str = concat!(

@@ -14,12 +14,12 @@
 //!   [`BufRead`] source yielding one [`TraceRecord`] at a time in O(1)
 //!   memory, so a million-job archive log replays without ever being
 //!   materialized. [`parse_swf`] is a thin `collect()` over it.
-//! * [`parse_swf_retained`] — the original whole-text batch parser, kept
-//!   verbatim as the **equivalence oracle**: the differential battery in
-//!   `crates/workload/tests/streaming_equivalence.rs` proves the two
-//!   produce identical record sequences and identical [`SwfError`]s on
-//!   every fixture and on adversarial (truncated, malformed-mid-stream)
-//!   inputs.
+//! * `parse_swf_retained` — the original whole-text batch parser, kept
+//!   verbatim as the **equivalence oracle** and compiled for tests only:
+//!   the differential battery in `streaming_equivalence.rs` proves the
+//!   two produce identical record sequences and identical [`SwfError`]s
+//!   on every fixture and on adversarial (truncated,
+//!   malformed-mid-stream) inputs.
 
 use crate::TraceRecord;
 use std::io::BufRead;
@@ -107,9 +107,9 @@ impl std::error::Error for SwfError {}
 ///
 /// Returns `Ok(None)` for comment/blank lines and for skipped jobs
 /// (unknown size or runtime). Shared by the streaming [`SwfRecords`]
-/// iterator; the retained oracle [`parse_swf_retained`] keeps its own
-/// inline copy of this grammar so the differential battery compares two
-/// independent implementations.
+/// iterator; the test-only retained oracle `parse_swf_retained` keeps
+/// its own inline copy of this grammar so the differential battery
+/// compares two independent implementations.
 fn parse_swf_line(raw: &str, lineno: usize) -> Result<Option<TraceRecord>, SwfError> {
     let line = raw.trim();
     if line.is_empty() || line.starts_with(';') {
@@ -173,8 +173,8 @@ fn parse_swf_line(raw: &str, lineno: usize) -> Result<Option<TraceRecord>, SwfEr
 /// without being materialized. Line numbering, comment/blank skipping,
 /// unknown-job filtering, and every error (line, field, token) are
 /// identical to the batch parser: the differential battery in
-/// `crates/workload/tests/streaming_equivalence.rs` pins this down
-/// against [`parse_swf_retained`] on fixtures and adversarial inputs.
+/// `streaming_equivalence.rs` pins this down against the test-only
+/// `parse_swf_retained` on fixtures and adversarial inputs.
 ///
 /// After yielding the first `Err`, the iterator is fused: every
 /// subsequent `next()` returns `None` (a malformed line poisons the rest
@@ -273,10 +273,10 @@ pub fn parse_swf(text: &str) -> Result<Vec<TraceRecord>, SwfError> {
 ///
 /// Deliberately shares **no code** with the streaming path (it has its
 /// own inline copy of the per-line grammar), so the differential battery
-/// in `crates/workload/tests/streaming_equivalence.rs` compares two
-/// independent implementations. Not for production use — it materializes
-/// every record; call [`parse_swf`] instead.
-pub fn parse_swf_retained(text: &str) -> Result<Vec<TraceRecord>, SwfError> {
+/// in `streaming_equivalence.rs` compares two independent
+/// implementations. Compiled for tests only.
+#[cfg(test)]
+pub(crate) fn parse_swf_retained(text: &str) -> Result<Vec<TraceRecord>, SwfError> {
     let mut out = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -317,7 +317,6 @@ pub fn parse_swf_retained(text: &str) -> Result<Vec<TraceRecord>, SwfError> {
         }
         out.push(TraceRecord {
             submit_s: submit,
-            // procsim-lint: allow(D005): the guard above bounds size to (0, u32::MAX]
             size: size as u32,
             runtime_s: runtime.max(1.0),
         });

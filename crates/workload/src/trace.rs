@@ -48,7 +48,7 @@
 //! record. The scaling arithmetic is shared with the batch converter
 //! [`trace_to_jobs`] ([`crate::paragon::scale_trace_record`]), so the
 //! lazy and materialized paths are bit-identical by construction — and
-//! the golden CSVs plus `crates/workload/tests/streaming_equivalence.rs`
+//! the golden CSVs plus the test-only `streaming_equivalence` battery
 //! pin it down empirically. See docs/WORKLOADS.md § Streaming pipeline.
 
 use crate::swf::{SwfError, SwfRecords};

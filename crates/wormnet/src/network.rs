@@ -1040,7 +1040,9 @@ impl Network {
     /// idle (it then changes only through [`Network::send`]). The gap to
     /// `now` is computed in O(1), not by stepping: queued senders are
     /// accounted for by the parked/ready states without scanning them.
-    pub fn next_progress_time(&self, now: Time) -> Option<Time> {
+    /// Compiled for tests only.
+    #[cfg(test)]
+    pub(crate) fn next_progress_time(&self, now: Time) -> Option<Time> {
         if self.is_idle() {
             None
         } else {
@@ -1053,7 +1055,10 @@ impl Network {
     /// delivered a packet (so the caller can react to completions).
     /// Returns the time reached. Callers should have drained pending
     /// completions first — the early stop checks the completion buffer.
-    pub fn advance_until(&mut self, mut now: Time, until: Time) -> Time {
+    /// Compiled for tests only: it drives the reference equivalence
+    /// tests and the differential battery's compressed checkpoints.
+    #[cfg(test)]
+    pub(crate) fn advance_until(&mut self, mut now: Time, until: Time) -> Time {
         while now < until {
             if self.is_idle() {
                 return until;

@@ -54,7 +54,7 @@ pub use mesh_sched::{Fcfs, QueuedJob, Scheduler, SchedulerKind, Ssd};
 // --- workloads and statistics ---------------------------------------------
 pub use simstats::{student_t_95, Histogram, Replications, StopReason, TimeWeighted, Welford};
 pub use workload::{
-    factor_for_load, load_for_factor, parse_swf, parse_swf_retained, shape_for_size, summarize,
+    factor_for_load, load_for_factor, parse_swf, shape_for_size, summarize,
     summarize_stream, trace_to_jobs, write_swf, write_swf_to, Cm5Model, JobSpec, ParagonModel,
     ScaledJobs, SideDist, StochasticGen, StreamingSummary, SwfError, SwfErrorKind, SwfRecords,
     TraceError, TraceRecord, TraceSummary, TraceWorkload,
