@@ -29,6 +29,20 @@
 //! `PROCSIM_THREADS` environment variable, else the machine's available
 //! parallelism ([`pool::default_threads`]).
 
+// Deep invariant check: a `debug_assert!` in ordinary builds, promoted
+// to an always-compiled `assert!` under `--features invariants` (see
+// docs/LINTS.md). `cfg!` keeps both arms type-checked; the dead branch
+// is optimized out.
+macro_rules! inv_assert {
+    ($($arg:tt)*) => {
+        if cfg!(feature = "invariants") {
+            assert!($($arg)*);
+        } else {
+            debug_assert!($($arg)*);
+        }
+    };
+}
+
 pub mod campaign;
 pub mod config;
 pub mod metrics;

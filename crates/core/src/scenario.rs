@@ -52,6 +52,7 @@ use workload::{Cm5Model, ParagonModel, SideDist, TraceWorkload};
 use wormnet::{Pattern, TopologyKind};
 
 use crate::config::{SimConfig, WorkloadSpec};
+use crate::simulator::MAX_MESH_NODES;
 
 /// A parse or validation error, pointing at the offending line and the
 /// dotted `section.key` place, in the style of `workload::SwfError`.
@@ -1040,6 +1041,17 @@ impl PointSettings {
                 format!(
                     "max_reps ({}) < min_reps ({}) after overrides",
                     self.max_reps, self.min_reps
+                ),
+            ));
+        }
+        let nodes = u32::from(self.mesh_w) * u32::from(self.mesh_l);
+        if nodes > MAX_MESH_NODES {
+            return Err(ScenarioError::new(
+                0,
+                place,
+                format!(
+                    "mesh_w x mesh_l = {} x {} = {nodes} processors, more than the limit of {MAX_MESH_NODES} (2^20)",
+                    self.mesh_w, self.mesh_l
                 ),
             ));
         }

@@ -3,14 +3,14 @@
 use crate::config::{SimConfig, WorkloadSpec};
 use crate::metrics::RunMetrics;
 use desim::{EventQueue, SimRng, Time};
-use mesh2d::Mesh;
+use mesh2d::{Coord, Mesh};
 use mesh_alloc::{Allocation, AllocationStrategy};
 use mesh_sched::{QueuedJob, RunningJob, Scheduler};
 use simstats::{TimeWeighted, Welford};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use workload::{trace_to_jobs, Cm5Model, JobSpec, ParagonModel, StochasticGen};
-use wormnet::{pattern_messages, Completion, Network, Topology, TopologyKind};
+use wormnet::{pattern_ranks, Completion, Network, Topology, TopologyKind};
 
 /// Job-level events.
 #[derive(Debug)]
@@ -26,6 +26,11 @@ enum Ev {
 /// packet per processor, as in a compute/send/wait application loop.
 const RANK_BITS: u32 = 20;
 
+/// The most processors a simulated mesh may have: a sender rank must fit
+/// the tag's `RANK_BITS`. [`Simulator::new`] asserts it and scenario
+/// validation rejects larger meshes.
+pub const MAX_MESH_NODES: u32 = 1 << RANK_BITS;
+
 fn encode_tag(job: u64, rank: usize) -> u64 {
     debug_assert!((rank as u64) < (1 << RANK_BITS));
     (job << RANK_BITS) | rank as u64
@@ -35,16 +40,30 @@ fn decode_tag(tag: u64) -> (u64, usize) {
     (tag >> RANK_BITS, (tag & ((1 << RANK_BITS) - 1)) as usize)
 }
 
+/// Takes a rank's next destination through its `[next, end)` cursor
+/// into the job's `dsts`, if it has one left.
+fn next_dst(dsts: &[Coord], cursor: &mut (u32, u32)) -> Option<Coord> {
+    let (next, end) = *cursor;
+    (next < end).then(|| {
+        cursor.0 += 1;
+        dsts[next as usize]
+    })
+}
+
 #[derive(Debug)]
 struct JobState {
     spec: JobSpec,
     /// Allocation time (service start); `Time::MAX` while queued.
     start: Time,
     alloc: Option<Allocation>,
-    /// Per-rank remaining destinations (closed loop: rank r's next message
-    /// is sent when its previous one is delivered). The rank → coordinate
-    /// map itself lives in `alloc` (cached once per allocation).
-    sends: Vec<std::collections::VecDeque<mesh2d::Coord>>,
+    /// Every destination of the job's messages, in pattern emission
+    /// order; each sender rank's messages are one contiguous run.
+    dsts: Vec<Coord>,
+    /// Per-rank `[next, end)` cursor into `dsts` (closed loop: rank r's
+    /// next message is sent when its previous one is delivered). The
+    /// rank → coordinate map itself lives in `alloc` (cached once per
+    /// allocation).
+    cursors: Vec<(u32, u32)>,
     /// Packets still in flight or unsent.
     outstanding: u32,
     /// Per-job packet accumulators (folded into run metrics at departure
@@ -290,7 +309,17 @@ impl Simulator {
     /// replication counter, so replication streams never collide across
     /// points that were themselves given derived seeds. The same
     /// `(seed, rep)` pair is fully reproducible.
+    ///
+    /// # Panics
+    ///
+    /// If the mesh has more than [`MAX_MESH_NODES`] processors.
     pub fn new(cfg: &SimConfig, rep: u64) -> Self {
+        assert!(
+            u32::from(cfg.mesh_w) * u32::from(cfg.mesh_l) <= MAX_MESH_NODES,
+            "a {}x{} mesh has more than {MAX_MESH_NODES} processors",
+            cfg.mesh_w,
+            cfg.mesh_l
+        );
         let mut rep_rng = SimRng::new(crate::replicate::derive_seed(cfg.seed, rep));
         let mut wl_rng = rep_rng.substream(1);
         let pat_rng = rep_rng.substream(2);
@@ -449,7 +478,8 @@ impl Simulator {
                         spec,
                         start: Time::MAX,
                         alloc: None,
-                        sends: Vec::new(),
+                        dsts: Vec::new(),
+                        cursors: Vec::new(),
                         outstanding: 0,
                         lat_sum: 0,
                         blk_sum: 0,
@@ -627,8 +657,28 @@ impl Simulator {
         // procsim-lint: allow(D004): invariant: js.alloc was assigned Some two lines above
         let nodes = js.alloc.as_ref().expect("invariant: alloc just set").nodes();
         let msgs_per_node = js.spec.msgs_per_node;
-        let msgs = pattern_messages(self.cfg.pattern, nodes, msgs_per_node, &mut self.pat_rng);
-        if msgs.is_empty() {
+        // one pass in rank form: each sender's messages arrive as one
+        // contiguous run of `dsts`, so a rank's cursor opens at its first
+        // message (an empty cursor ends at 0) and each further message
+        // extends it
+        let mut dsts = Vec::new();
+        // resized, not `vec![(0, 0); n]`: an all-zero `vec!` is a calloc,
+        // which glibc serves past its per-thread cache of freed chunks,
+        // and the heap grows (deep_queue's peak RSS rose 5 %)
+        let mut cursors = Vec::with_capacity(nodes.len());
+        cursors.resize(nodes.len(), (0u32, 0u32));
+        pattern_ranks(self.cfg.pattern, nodes, msgs_per_node, &mut self.pat_rng, |src, dst| {
+            // procsim-lint: allow(D005): dsts holds the job's messages, whose count `outstanding` keeps as a u32
+            let at = dsts.len() as u32;
+            let cursor = &mut cursors[src as usize];
+            if cursor.1 == 0 {
+                *cursor = (at, at);
+            }
+            inv_assert!(cursor.1 == at, "rank {src}'s messages restart after another rank's");
+            dsts.push(nodes[dst as usize]);
+            cursor.1 += 1;
+        });
+        if dsts.is_empty() {
             // single-processor job (or pattern with a silent role):
             // local-computation proxy with the same per-message cost a
             // network-free send would have
@@ -636,41 +686,19 @@ impl Simulator {
             self.events.schedule(self.now + local.max(1), Ev::LocalDone(id));
             return;
         }
-        // group messages into per-rank destination queues through a
-        // sorted coordinate → rank index (nodes are unique, so binary
-        // search replaces the old per-job hash map)
-        let mut rank_index: Vec<(mesh2d::Coord, u32)> = nodes
-            .iter()
-            .enumerate()
-            .map(|(r, &c)| (c, r as u32))
-            .collect();
-        rank_index.sort_unstable_by_key(|&(c, _)| (c.y, c.x));
-        let mut sends: Vec<std::collections::VecDeque<mesh2d::Coord>> =
-            vec![std::collections::VecDeque::new(); nodes.len()];
-        for (src, dst) in &msgs {
-            let i = rank_index
-                // procsim-lint: allow(D004): invariant: pattern_messages only emits sources drawn from `nodes` itself
-                .binary_search_by_key(&(src.y, src.x), |&(c, _)| (c.y, c.x))
-                .expect("invariant: pattern message from a coordinate outside the allocation");
-            sends[rank_index[i].1 as usize].push_back(*dst);
+        // procsim-lint: allow(D005): a job sends nodes * msgs_per_node messages, far under u32::MAX for the drawn message counts; outstanding mirrors per-send decrements
+        js.outstanding = dsts.len() as u32;
+        // closed loop: every rank launches its first message, in
+        // ascending rank order (the network's injection order);
+        // subsequent messages go out as deliveries come back
+        for (rank, cursor) in cursors.iter_mut().enumerate() {
+            if let Some(dst) = next_dst(&dsts, cursor) {
+                self.net
+                    .send(nodes[rank], dst, self.cfg.plen, encode_tag(id, rank), self.now);
+            }
         }
-        // procsim-lint: allow(D005): message count <= nodes * msgs_per_node <= 2^20 * 2^16, and outstanding mirrors per-send decrements
-        js.outstanding = msgs.len() as u32;
-        js.sends = sends;
-        // closed loop: every rank launches its first message; subsequent
-        // messages go out as deliveries come back
-        // procsim-lint: allow(D004): invariant: alloc was set Some at the top of start_job
-        let alloc = js.alloc.as_ref().expect("invariant: alloc set above");
-        let first: Vec<(usize, mesh2d::Coord, mesh2d::Coord)> = js
-            .sends
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(r, q)| q.pop_front().map(|d| (r, alloc.nodes()[r], d)))
-            .collect();
-        for (rank, src, dst) in first {
-            self.net
-                .send(src, dst, self.cfg.plen, encode_tag(id, rank), self.now);
-        }
+        js.dsts = dsts;
+        js.cursors = cursors;
     }
 
     fn depart(&mut self, id: u64) {
@@ -728,7 +756,7 @@ impl Simulator {
             js.pkts += 1;
             js.outstanding -= 1;
             // closed loop: the sender's next message goes out now
-            if let Some(dst) = js.sends[rank].pop_front() {
+            if let Some(dst) = next_dst(&js.dsts, &mut js.cursors[rank]) {
                 // procsim-lint: allow(D004): invariant: a job with packets in flight was started, so alloc is Some
                 let src = js.alloc.as_ref().expect("invariant: send for unallocated job").nodes()[rank];
                 self.net
@@ -1085,6 +1113,15 @@ mod tests {
             (b.mean_turnaround, b.end_time),
             "replications of a short trace must not be identical"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 1048576 processors")]
+    fn meshes_beyond_the_rank_limit_are_refused() {
+        let mut cfg = quick_cfg(StrategyKind::Gabl, SchedulerKind::Fcfs, 0.001);
+        cfg.mesh_w = 2048;
+        cfg.mesh_l = 1024;
+        let _ = Simulator::new(&cfg, 0);
     }
 
     #[test]

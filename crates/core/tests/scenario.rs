@@ -279,6 +279,25 @@ fn expand_rejects_contradictory_reps() {
 }
 
 #[test]
+fn expand_rejects_meshes_beyond_the_rank_limit() {
+    // a packet tag holds the sender rank in 20 bits: 1024 x 1024 is the
+    // largest square mesh that fits
+    let with_mesh = |w: u32, l: u32| {
+        Scenario::parse(&format!(
+            "[campaign]\nname = \"big\"\nseed = 1\n\
+             [defaults]\nmesh_w = {w}\nmesh_l = {l}\n\
+             [matrix]\nload = [0.001]\n"
+        ))
+        .unwrap()
+    };
+    assert_eq!(expand(&with_mesh(1024, 1024)).unwrap().len(), 1);
+    let e = expand(&with_mesh(2048, 1024)).unwrap_err();
+    assert!(e.msg.contains("mesh_w x mesh_l"), "{e}");
+    assert!(e.msg.contains("2048 x 1024"), "{e}");
+    assert!(e.msg.contains("1048576"), "{e}");
+}
+
+#[test]
 fn cache_keys_of_existing_points_are_unchanged() {
     // recorded from fig09.toml before the pattern knob and paging
     // indexing entered the spec string: every all-to-all, row-major

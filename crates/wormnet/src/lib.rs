@@ -69,6 +69,6 @@ pub mod topology;
 
 pub use network::{Completion, Network};
 pub use packet::PacketId;
-pub use pattern::{pattern_messages, Pattern};
+pub use pattern::{pattern_messages, pattern_ranks, Pattern};
 pub use routing::{route, route_into, xy_route};
 pub use topology::{ChannelId, Direction, Topology, TopologyKind};

@@ -59,17 +59,40 @@ impl core::fmt::Display for Pattern {
 /// `msgs_per_node` is the per-processor message count (the paper's
 /// exponentially distributed `num_mes` draw). Single-processor jobs send
 /// nothing — the caller models their demand as local computation.
+/// This is [`pattern_ranks`] with each rank mapped to its coordinate.
 pub fn pattern_messages(
     pattern: Pattern,
     nodes: &[Coord],
     msgs_per_node: u32,
     rng: &mut SimRng,
 ) -> Vec<(Coord, Coord)> {
-    let n = nodes.len();
-    if n <= 1 {
-        return Vec::new();
-    }
     let mut out = Vec::new();
+    pattern_ranks(pattern, nodes, msgs_per_node, rng, |s, d| {
+        out.push((nodes[s as usize], nodes[d as usize]));
+    });
+    out
+}
+
+/// Expands a pattern for one job in rank form: calls `emit(src, dst)`
+/// once per message, where both are ranks (indices into `nodes`).
+///
+/// Each sender's messages come out as one contiguous run: every pattern
+/// walks its senders one at a time and emits all of a sender's messages
+/// before moving on (in rank order, except NearNeighbour, which walks
+/// the row-major sorted order). `rng` is drawn from only by
+/// RandomPairs, once per message in emission order.
+pub fn pattern_ranks(
+    pattern: Pattern,
+    nodes: &[Coord],
+    msgs_per_node: u32,
+    rng: &mut SimRng,
+    mut emit: impl FnMut(u32, u32),
+) {
+    // procsim-lint: allow(D005): a job's processors are a subset of a mesh of at most 2^20 nodes
+    let n = nodes.len() as u32;
+    if n <= 1 {
+        return;
+    }
     match pattern {
         Pattern::AllToAll => {
             // Each node's messages are spread evenly over ALL other
@@ -79,13 +102,13 @@ pub fn pattern_messages(
             // which is what makes all-to-all "the weak point for
             // non-contiguous allocation" — traffic crosses the entire
             // spatial extent of the job, not just rank neighbours.
-            let span = n as u32 - 1;
-            for (i, &src) in nodes.iter().enumerate() {
-                let stride = (span / msgs_per_node.min(span)).max(1);
+            let span = n - 1;
+            // the inner max(1) keeps a zero-message job from dividing by 0
+            let stride = (span / msgs_per_node.min(span).max(1)).max(1);
+            for i in 0..n {
                 for k in 0..msgs_per_node {
                     let offset = 1 + (k * stride + k / span) % span;
-                    let j = (i as u32 + offset) % n as u32;
-                    out.push((src, nodes[j as usize]));
+                    emit(i, (i + offset) % n);
                 }
             }
         }
@@ -94,42 +117,39 @@ pub fn pattern_messages(
             // over the other processors (same per-sender volume as the
             // other patterns, so the pattern comparison isolates traffic
             // *shape* rather than volume)
-            let src = nodes[0];
             for k in 0..msgs_per_node {
-                out.push((src, nodes[1 + (k as usize % (n - 1))]));
+                emit(0, 1 + k % (n - 1));
             }
         }
         Pattern::Ring => {
-            for (i, &src) in nodes.iter().enumerate() {
-                let dst = nodes[(i + 1) % n];
+            for i in 0..n {
                 for _ in 0..msgs_per_node {
-                    out.push((src, dst));
+                    emit(i, (i + 1) % n);
                 }
             }
         }
         Pattern::RandomPairs => {
-            for (i, &src) in nodes.iter().enumerate() {
+            for i in 0..n {
                 for _ in 0..msgs_per_node {
-                    let mut j = rng.index(n - 1);
+                    let mut j = rng.index(n as usize - 1) as u32;
                     if j >= i {
                         j += 1;
                     }
-                    out.push((src, nodes[j]));
+                    emit(i, j);
                 }
             }
         }
         Pattern::NearNeighbour => {
-            let mut sorted = nodes.to_vec();
-            sorted.sort_by_key(|c| (c.y, c.x));
+            let mut sorted: Vec<u32> = (0..n).collect();
+            sorted.sort_by_key(|&r| (nodes[r as usize].y, nodes[r as usize].x));
             for (i, &src) in sorted.iter().enumerate() {
-                let dst = sorted[(i + 1) % n];
+                let dst = sorted[(i + 1) % n as usize];
                 for _ in 0..msgs_per_node {
-                    out.push((src, dst));
+                    emit(src, dst);
                 }
             }
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use desim::SimRng;
 use mesh2d::Coord;
 use proptest::prelude::*;
-use wormnet::{pattern_messages, Network, Pattern};
+use wormnet::{pattern_messages, pattern_ranks, Network, Pattern};
 
 const TS: u32 = 3;
 const PLEN: u32 = 8;
@@ -78,6 +78,49 @@ proptest! {
         net.run_until_idle(0);
         let c = net.drain_completions();
         prop_assert_eq!(c[0].latency, Network::uncontended_latency(s.manhattan(&d), plen, ts));
+    }
+
+    /// The rank form is the pattern: mapping `pattern_ranks` through
+    /// `nodes` gives exactly `pattern_messages`, both leave the RNG in
+    /// the same state, and every sender's messages form one contiguous
+    /// run (no sender's run restarts after another sender's).
+    #[test]
+    fn rank_form_is_the_pattern(
+        n in 1usize..=64,
+        order_seed in any::<u64>(),
+        m in 0u32..=9,
+        pat_i in 0usize..5,
+        rng_seed in any::<u64>(),
+    ) {
+        // n distinct coordinates of a 16x22 mesh, in a shuffled
+        // (allocation-like, not row-major) order
+        let mut all: Vec<Coord> =
+            (0..22u16).flat_map(|y| (0..16u16).map(move |x| Coord::new(x, y))).collect();
+        let mut shuffle = SimRng::new(order_seed);
+        for i in (1..all.len()).rev() {
+            all.swap(i, shuffle.index(i + 1));
+        }
+        let nodes = &all[..n];
+        let pat = Pattern::ALL[pat_i];
+
+        let mut rng_msgs = SimRng::new(rng_seed);
+        let msgs = pattern_messages(pat, nodes, m, &mut rng_msgs);
+        let mut rng_ranks = SimRng::new(rng_seed);
+        let mut ranks = Vec::new();
+        pattern_ranks(pat, nodes, m, &mut rng_ranks, |s, d| ranks.push((s, d)));
+
+        let mapped: Vec<(Coord, Coord)> =
+            ranks.iter().map(|&(s, d)| (nodes[s as usize], nodes[d as usize])).collect();
+        prop_assert_eq!(mapped, msgs);
+        prop_assert_eq!(rng_msgs.raw(), rng_ranks.raw());
+
+        let mut finished = vec![false; n];
+        for w in ranks.windows(2) {
+            if w[0].0 != w[1].0 {
+                finished[w[0].0 as usize] = true;
+                prop_assert!(!finished[w[1].0 as usize], "sender {} restarts", w[1].0);
+            }
+        }
     }
 
     /// Pattern expansion never self-sends and produces the expected volume

@@ -182,6 +182,24 @@ fn missing_trace_file_dies_with_scenario_error() {
 }
 
 #[test]
+fn oversized_mesh_dies_with_scenario_error() {
+    // a sender rank must fit the packet tag's 20 bits
+    let bad = tmp("huge_mesh");
+    std::fs::write(
+        &bad,
+        "[campaign]\nname = \"huge\"\nseed = 1\n\n[defaults]\nmesh_w = 65535\nmesh_l = 65535\n\n\
+         [matrix]\nload = [0.001]\n",
+    )
+    .unwrap();
+    let r = campaign(&[bad.to_str().unwrap(), "--dry-run", "--cache", "/nonexistent"]);
+    assert!(!r.success, "a mesh of more than 2^20 processors must fail");
+    assert_eq!(r.code, Some(2), "usage errors exit 2");
+    assert!(r.stderr.contains("mesh_w x mesh_l"), "{}", r.stderr);
+    assert!(r.stderr.contains("1048576"), "{}", r.stderr);
+    let _ = std::fs::remove_file(&bad);
+}
+
+#[test]
 fn every_checked_in_scenario_expands() {
     // the ports of the former figure and ablation binaries are only ever
     // dry-run in CI; a scenario that stops parsing or expanding fails here
