@@ -5,69 +5,56 @@
 //! waits until a single free `a × b` sub-mesh exists, even when enough
 //! scattered processors are free. They are included as baselines for the
 //! `scenarios/ablation_contiguity.toml` study, not as paper figures.
+//!
+//! They are the only strategies that override
+//! [`AllocationStrategy::feasible`]: both share `could_fit`, the exact
+//! mirror of their failure condition. Their `allocate` is a pure function
+//! of the occupancy, and occupying more processors can only destroy free
+//! placements, so a failure persists until a release.
 
 use std::ops::ControlFlow;
 
-use crate::{AllocId, Allocation, AllocationStrategy};
+use crate::{Allocation, AllocationStrategy};
 use mesh2d::{Mesh, SubMesh};
+
+/// Whether a free `a × b` or `b × a` sub-mesh may exist: `false` proves
+/// that neither orientation passes the mesh's free-space watermarks,
+/// `true` defers to the search.
+fn could_fit(mesh: &Mesh, a: u16, b: u16) -> bool {
+    mesh.could_fit_rect(a, b) || (a != b && mesh.could_fit_rect(b, a))
+}
+
+/// Occupies the single sub-mesh `s` and grants it as an allocation.
+fn grant(mesh: &mut Mesh, s: SubMesh) -> Allocation {
+    mesh.occupy_submesh(&s);
+    Allocation::new(vec![s])
+}
 
 /// Contiguous first-fit: the first free `a × b` (or `b × a`) sub-mesh in
 /// row-major base order.
 #[derive(Debug, Default)]
-pub struct FirstFit {
-    next_id: u64,
-}
+pub struct FirstFit;
 
 impl FirstFit {
-    /// A fresh first-fit allocator.
+    /// A first-fit allocator.
     pub fn new() -> Self {
-        FirstFit::default()
+        FirstFit
     }
 }
 
 impl AllocationStrategy for FirstFit {
-    fn name(&self) -> String {
-        "FF".to_string()
-    }
-
     fn allocate(&mut self, mesh: &mut Mesh, a: u16, b: u16) -> Option<Allocation> {
         if a == 0 || b == 0 {
             return None;
         }
         let s = mesh2d::find_free_submesh(mesh, a, b)
             .or_else(|| if a != b { mesh2d::find_free_submesh(mesh, b, a) } else { None })?;
-        mesh.occupy_submesh(&s);
-        let id = AllocId(self.next_id);
-        self.next_id += 1;
-        Some(Allocation::new(id, vec![s]))
-    }
-
-    fn release(&mut self, mesh: &mut Mesh, alloc: Allocation) {
-        for s in alloc.submeshes() {
-            mesh.release_submesh(s);
-        }
-    }
-
-    fn reset(&mut self, _mesh: &Mesh) {
-        self.next_id = 0;
-    }
-
-    fn always_succeeds_when_free(&self) -> bool {
-        false
+        Some(grant(mesh, s))
     }
 
     fn feasible(&self, mesh: &Mesh, a: u16, b: u16) -> bool {
-        // exact mirror of allocate's failure condition: a contiguous
-        // placement exists only if one orientation passes the free-space
-        // watermarks (could_fit_rect == false proves no free a×b
-        // sub-mesh exists; == true defers to the search)
-        mesh.could_fit_rect(a, b) || (a != b && mesh.could_fit_rect(b, a))
+        could_fit(mesh, a, b)
     }
-
-    // failure_persists_until_release: allocate is a pure function of the
-    // occupancy (no RNG, no internal state beyond the id counter, which
-    // a failed call never touches), and occupying more processors can
-    // only destroy free placements, never create them.
 }
 
 /// Contiguous best-fit: among all free placements (both orientations),
@@ -75,14 +62,12 @@ impl AllocationStrategy for FirstFit {
 /// that "fits most snugly" against allocated regions and mesh edges,
 /// preserving large free areas for later jobs.
 #[derive(Debug, Default)]
-pub struct BestFit {
-    next_id: u64,
-}
+pub struct BestFit;
 
 impl BestFit {
-    /// A fresh best-fit allocator.
+    /// A best-fit allocator.
     pub fn new() -> Self {
-        BestFit::default()
+        BestFit
     }
 
     /// Number of *free* processors adjacent to the perimeter of `s`
@@ -126,10 +111,6 @@ impl BestFit {
 }
 
 impl AllocationStrategy for BestFit {
-    fn name(&self) -> String {
-        "BF".to_string()
-    }
-
     fn allocate(&mut self, mesh: &mut Mesh, a: u16, b: u16) -> Option<Allocation> {
         if a == 0 || b == 0 {
             return None;
@@ -140,49 +121,14 @@ impl AllocationStrategy for BestFit {
         } else {
             None
         };
-        let s = match (c1, c2) {
-            (Some((s1, r1)), Some((s2, r2))) => {
-                if s1 <= s2 {
-                    r1
-                } else {
-                    r2
-                }
-            }
-            (Some((_, r)), None) | (None, Some((_, r))) => r,
-            (None, None) => return None,
-        };
-        mesh.occupy_submesh(&s);
-        let id = AllocId(self.next_id);
-        self.next_id += 1;
-        Some(Allocation::new(id, vec![s]))
-    }
-
-    fn release(&mut self, mesh: &mut Mesh, alloc: Allocation) {
-        for s in alloc.submeshes() {
-            mesh.release_submesh(s);
-        }
-    }
-
-    fn reset(&mut self, _mesh: &Mesh) {
-        self.next_id = 0;
-    }
-
-    fn always_succeeds_when_free(&self) -> bool {
-        false
+        // the snugger orientation; min_by_key keeps the first on a tie
+        let (_, s) = c1.into_iter().chain(c2).min_by_key(|&(score, _)| score)?;
+        Some(grant(mesh, s))
     }
 
     fn feasible(&self, mesh: &Mesh, a: u16, b: u16) -> bool {
-        // exact mirror of allocate's failure condition: a contiguous
-        // placement exists only if one orientation passes the free-space
-        // watermarks (could_fit_rect == false proves no free a×b
-        // sub-mesh exists; == true defers to the search)
-        mesh.could_fit_rect(a, b) || (a != b && mesh.could_fit_rect(b, a))
+        could_fit(mesh, a, b)
     }
-
-    // failure_persists_until_release: allocate is a pure function of the
-    // occupancy (no RNG, no internal state beyond the id counter, which
-    // a failed call never touches), and occupying more processors can
-    // only destroy free placements, never create them.
 }
 
 #[cfg(test)]

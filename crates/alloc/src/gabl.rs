@@ -7,31 +7,28 @@
 //! do not exceed those of the previously allocated piece, until exactly
 //! `a·b` processors are granted. Allocated sub-meshes are kept in a busy
 //! list; allocation always succeeds when at least `a·b` processors are
-//! free.
+//! free, so the default area-bound `feasible` is exact.
 //!
 //! The original formulation derives candidate bases from the busy list;
 //! we search the mesh's row free masks instead (`mesh2d::rect`: the same
-//! first-fit result, simpler invariants — the busy list is still
-//! maintained because its *length* is a reported statistic and because
-//! departures remove entries by allocation id).
+//! first-fit result, simpler invariants). The busy list is still kept,
+//! because its *length* is a reported statistic: it holds the live
+//! sub-meshes themselves, and a release removes its allocation's own
+//! sub-meshes by equality (allocations are disjoint, so no two live
+//! entries are equal).
+//!
+//! A failed `allocate` returns before anything is touched, and its
+//! failure condition `p > free_count` is monotone under further
+//! occupies, so a failure persists until a release.
 
-use crate::{AllocId, Allocation, AllocationStrategy};
+use crate::{Allocation, AllocationStrategy};
 use mesh2d::{find_free_submesh, largest_free_rect, largest_free_rect_near, Coord, Mesh, SubMesh};
-
-/// One busy-list entry: a sub-mesh granted to a live job.
-#[derive(Debug, Clone, Copy)]
-pub struct BusyEntry {
-    /// The allocation this sub-mesh belongs to.
-    pub owner: AllocId,
-    /// The granted sub-mesh.
-    pub sub: SubMesh,
-}
 
 /// The GABL allocator.
 #[derive(Debug, Default)]
 pub struct Gabl {
-    busy: Vec<BusyEntry>,
-    next_id: u64,
+    /// The sub-meshes granted to live jobs.
+    busy: Vec<SubMesh>,
     /// High-water mark of the busy list length (the paper argues it stays
     /// small as the mesh scales, §6; `tests/busy_list_scaling.rs` checks).
     peak_busy_len: usize,
@@ -48,7 +45,7 @@ impl Gabl {
         self.busy.len()
     }
 
-    /// Largest busy list length observed since the last reset.
+    /// Largest busy list length observed so far.
     pub fn peak_busy_len(&self) -> usize {
         self.peak_busy_len
     }
@@ -83,17 +80,11 @@ impl Gabl {
 }
 
 impl AllocationStrategy for Gabl {
-    fn name(&self) -> String {
-        "GABL".to_string()
-    }
-
     fn allocate(&mut self, mesh: &mut Mesh, a: u16, b: u16) -> Option<Allocation> {
         let p = a as u32 * b as u32;
         if p == 0 || p > mesh.free_count() {
             return None;
         }
-        let id = AllocId(self.next_id);
-        self.next_id += 1;
         let mut pieces: Vec<SubMesh> = Vec::new();
 
         // 1. whole-job contiguous attempt, both orientations
@@ -141,16 +132,14 @@ impl AllocationStrategy for Gabl {
             }
         }
 
-        for &sub in &pieces {
-            self.busy.push(BusyEntry { owner: id, sub });
-        }
+        self.busy.extend_from_slice(&pieces);
         self.peak_busy_len = self.peak_busy_len.max(self.busy.len());
-        Some(Allocation::new(id, pieces))
+        Some(Allocation::new(pieces))
     }
 
     fn release(&mut self, mesh: &mut Mesh, alloc: Allocation) {
         let before = self.busy.len();
-        self.busy.retain(|e| e.owner != alloc.id);
+        self.busy.retain(|s| !alloc.submeshes().contains(s));
         assert_eq!(
             before - self.busy.len(),
             alloc.submeshes().len(),
@@ -160,32 +149,6 @@ impl AllocationStrategy for Gabl {
             mesh.release_submesh(s);
         }
     }
-
-    fn reset(&mut self, _mesh: &Mesh) {
-        self.busy.clear();
-        self.next_id = 0;
-        self.peak_busy_len = 0;
-    }
-
-    fn always_succeeds_when_free(&self) -> bool {
-        true
-    }
-
-    fn feasible(&self, mesh: &Mesh, a: u16, b: u16) -> bool {
-        // exact mirror of allocate's only failure condition (the greedy
-        // partitioning succeeds whenever enough processors are free)
-        let p = a as u32 * b as u32;
-        p != 0 && p <= mesh.free_count()
-    }
-
-    // failure_persists_until_release: a failed allocate returns before
-    // the id counter or busy list are touched, and the failure condition
-    // p > free_count is monotone under further occupies.
-}
-
-/// Convenience: returns the coordinates allocated to `alloc` (rank order).
-pub fn allocation_nodes(alloc: &Allocation) -> &[Coord] {
-    alloc.nodes()
 }
 
 #[cfg(test)]
@@ -336,7 +299,5 @@ mod tests {
         g.release(&mut mesh, b);
         assert_eq!(g.busy_len(), 0);
         assert!(g.peak_busy_len() >= 2);
-        g.reset(&mesh);
-        assert_eq!(g.peak_busy_len(), 0);
     }
 }

@@ -13,9 +13,14 @@
 //! *only* for requests of size `2^2n`; the real workload's preference for
 //! non-power-of-two sizes is exactly what makes MBS rank below Paging(0)
 //! on the trace-driven experiments.
+//!
+//! The forest serves any request while `p` processors are free, so the
+//! default area-bound `feasible` is exact. A failed `allocate` takes no
+//! block, and `p > free_count` is monotone under further occupies, so a
+//! failure persists until a release.
 
-use crate::{AllocId, Allocation, AllocationStrategy};
-use mesh2d::{buddy, Mesh, SubMesh};
+use crate::{Allocation, AllocationStrategy};
+use mesh2d::{buddy, Coord, Mesh, SubMesh};
 use std::collections::HashMap;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,33 +53,16 @@ pub struct Mbs {
     nodes: Vec<BlockNode>,
     /// Free lists per level, entries are (node index, epoch at push).
     free_lists: Vec<Vec<(u32, u32)>>,
-    free_procs: u32,
-    /// Block indices granted to each live allocation. Accessed only by
-    /// key (insert/remove), never iterated, so the RandomState hash
-    /// order cannot leak into results (D001-audited).
-    live: HashMap<u64, Vec<u32>>,
-    next_id: u64,
+    /// Block indices granted to each live allocation, keyed by the base
+    /// of its first sub-mesh (unique: live allocations are disjoint).
+    /// Accessed only by key (insert/remove), never iterated, so the
+    /// RandomState hash order cannot leak into results (D001-audited).
+    live: HashMap<Coord, Vec<u32>>,
 }
 
 impl Mbs {
     /// Builds the buddy forest for `mesh`.
     pub fn new(mesh: &Mesh) -> Self {
-        let mut mbs = Mbs {
-            nodes: Vec::new(),
-            free_lists: Vec::new(),
-            free_procs: mesh.size(),
-            live: HashMap::new(),
-            next_id: 0,
-        };
-        mbs.init(mesh);
-        mbs
-    }
-
-    fn init(&mut self, mesh: &Mesh) {
-        self.nodes.clear();
-        self.live.clear();
-        self.free_procs = mesh.size();
-        self.next_id = 0;
         let roots = buddy::decompose_pow2_squares(mesh.width(), mesh.length());
         let max_level = roots
             .iter()
@@ -84,13 +72,17 @@ impl Mbs {
             // decompose_pow2_squares of a non-empty mesh yields at least one
             // square; an empty mesh degenerates to a single empty free list
             .unwrap_or(0);
-        self.free_lists = vec![Vec::new(); max_level as usize + 1];
+        let mut mbs = Mbs {
+            nodes: Vec::new(),
+            free_lists: vec![Vec::new(); max_level as usize + 1],
+            live: HashMap::new(),
+        };
         for sub in roots {
             // procsim-lint: allow(D005): trailing_zeros of a u16 is at most 16, which fits u8
             let level = sub.width().trailing_zeros() as u8;
             // procsim-lint: allow(D005): the block tree holds at most ~4/3 * mesh size nodes, which fits u32
-            let idx = self.nodes.len() as u32;
-            self.nodes.push(BlockNode {
+            let idx = mbs.nodes.len() as u32;
+            mbs.nodes.push(BlockNode {
                 sub,
                 level,
                 parent: None,
@@ -98,8 +90,9 @@ impl Mbs {
                 state: BlockState::Free,
                 epoch: 0,
             });
-            self.free_lists[level as usize].push((idx, 0));
+            mbs.free_lists[level as usize].push((idx, 0));
         }
+        mbs
     }
 
     fn set_state(&mut self, idx: u32, state: BlockState) {
@@ -206,13 +199,9 @@ impl Mbs {
 }
 
 impl AllocationStrategy for Mbs {
-    fn name(&self) -> String {
-        "MBS".to_string()
-    }
-
     fn allocate(&mut self, mesh: &mut Mesh, a: u16, b: u16) -> Option<Allocation> {
         let p = a as u32 * b as u32;
-        if p == 0 || p > self.free_procs {
+        if p == 0 || p > mesh.free_count() {
             return None;
         }
         // demand per level from the base-4 factorization
@@ -240,7 +229,7 @@ impl AllocationStrategy for Mbs {
                     }
                     None => {
                         if l == 0 {
-                            // cannot happen while free_procs >= p; undo
+                            // cannot happen while free_count >= p; undo
                             for idx in taken {
                                 self.free_and_merge(idx);
                             }
@@ -259,48 +248,25 @@ impl AllocationStrategy for Mbs {
         for s in &submeshes {
             mesh.occupy_submesh(s);
         }
-        self.free_procs -= p;
         debug_assert_eq!(submeshes.iter().map(|s| s.size()).sum::<u32>(), p);
-        let id = AllocId(self.next_id);
-        self.next_id += 1;
-        self.live.insert(id.0, taken);
-        Some(Allocation::new(id, submeshes))
+        self.live.insert(submeshes[0].base, taken);
+        Some(Allocation::new(submeshes))
     }
 
     fn release(&mut self, mesh: &mut Mesh, alloc: Allocation) {
-        let blocks = self
-            .live
-            // procsim-lint: allow(D004): invariant: the simulator only releases allocations this allocator minted, exactly once
-            .remove(&alloc.id.0)
+        let blocks = alloc
+            .submeshes()
+            .first()
+            .and_then(|s| self.live.remove(&s.base))
+            // procsim-lint: allow(D004): invariant: the simulator only releases allocations this allocator granted, exactly once
             .expect("invariant: release of unknown allocation");
         for idx in blocks {
             let sub = self.nodes[idx as usize].sub;
             debug_assert_eq!(self.nodes[idx as usize].state, BlockState::Allocated);
             mesh.release_submesh(&sub);
-            self.free_procs += sub.size();
             self.free_and_merge(idx);
         }
     }
-
-    fn reset(&mut self, mesh: &Mesh) {
-        debug_assert_eq!(mesh.used_count(), 0, "reset on a non-empty mesh");
-        self.init(mesh);
-    }
-
-    fn always_succeeds_when_free(&self) -> bool {
-        true
-    }
-
-    fn feasible(&self, _mesh: &Mesh, a: u16, b: u16) -> bool {
-        // exact mirror of allocate's early-out against the buddy
-        // forest's own free counter (kept in lockstep with the mesh)
-        let p = a as u32 * b as u32;
-        p != 0 && p <= self.free_procs
-    }
-
-    // failure_persists_until_release: a failed allocate returns before
-    // any block is taken, and p > free_procs is monotone under further
-    // occupies.
 }
 
 #[cfg(test)]
@@ -427,16 +393,5 @@ mod tests {
         }
         let total_live: u32 = live.iter().map(|a| a.size()).sum();
         assert_eq!(mesh.used_count(), total_live);
-    }
-
-    #[test]
-    fn reset_rebuilds_forest() {
-        let mut mesh = Mesh::new(16, 16);
-        let mut mbs = Mbs::new(&mesh);
-        let _ = mbs.allocate(&mut mesh, 16, 16).unwrap();
-        mesh.clear();
-        mbs.reset(&mesh);
-        let a = mbs.allocate(&mut mesh, 16, 16).unwrap();
-        assert_eq!(a.fragments(), 1);
     }
 }

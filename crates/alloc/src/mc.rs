@@ -12,21 +12,23 @@
 //! allocation cost than GABL (a scan per candidate centre).
 //!
 //! Like the paper's three strategies, MC always succeeds when at least
-//! `p` processors are free.
+//! `p` processors are free (growing the shell from any free centre
+//! eventually collects all of them), so the default area-bound
+//! `feasible` is exact. The cluster search is a pure function of the
+//! occupancy, and `p > free_count` is monotone under further occupies,
+//! so a failure persists until a release.
 
-use crate::{AllocId, Allocation, AllocationStrategy};
+use crate::{Allocation, AllocationStrategy};
 use mesh2d::{Coord, Mesh, SubMesh};
 
 /// The MC shell allocator.
 #[derive(Debug, Default)]
-pub struct Mc {
-    next_id: u64,
-}
+pub struct Mc;
 
 impl Mc {
-    /// A fresh MC allocator.
+    /// An MC allocator.
     pub fn new() -> Self {
-        Mc::default()
+        Mc
     }
 
     /// Collects up to `p` free processors around `centre` in expanding
@@ -64,10 +66,6 @@ impl Mc {
 }
 
 impl AllocationStrategy for Mc {
-    fn name(&self) -> String {
-        "MC".to_string()
-    }
-
     fn allocate(&mut self, mesh: &mut Mesh, a: u16, b: u16) -> Option<Allocation> {
         let p = a as u32 * b as u32;
         if p == 0 || p > mesh.free_count() {
@@ -97,37 +95,8 @@ impl AllocationStrategy for Mc {
             mesh.occupy(c);
             submeshes.push(SubMesh::from_base_size(c, 1, 1));
         }
-        let id = AllocId(self.next_id);
-        self.next_id += 1;
-        Some(Allocation::new(id, submeshes))
+        Some(Allocation::new(submeshes))
     }
-
-    fn release(&mut self, mesh: &mut Mesh, alloc: Allocation) {
-        for s in alloc.submeshes() {
-            mesh.release_submesh(s);
-        }
-    }
-
-    fn reset(&mut self, _mesh: &Mesh) {
-        self.next_id = 0;
-    }
-
-    fn always_succeeds_when_free(&self) -> bool {
-        true
-    }
-
-    fn feasible(&self, mesh: &Mesh, a: u16, b: u16) -> bool {
-        // exact mirror of allocate's only failure condition: when p
-        // processors are free, growing the shell from any free centre
-        // eventually collects all of them, so the cluster search cannot
-        // come up short
-        let p = a as u32 * b as u32;
-        p != 0 && p <= mesh.free_count()
-    }
-
-    // failure_persists_until_release: the cluster search is a pure
-    // function of the occupancy, a failed call never touches the id
-    // counter, and p > free_count is monotone under further occupies.
 }
 
 #[cfg(test)]

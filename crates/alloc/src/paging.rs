@@ -7,40 +7,32 @@
 //! contiguity but more internal fragmentation; `Paging(0)` (the paper's
 //! configuration) has neither, allocating individual processors in index
 //! order.
+//!
+//! The strategy holds only its page grid. Pages are occupied and
+//! released whole, so a page is free exactly when its base processor is,
+//! and the pages cover the mesh, so the free page capacity is the mesh's
+//! free count: the default area-bound `feasible` is exact, and a release
+//! is the default one, sub-mesh by sub-mesh. A failed `allocate` marks
+//! nothing, and `a·b > free_count` is monotone under further occupies,
+//! so a failure persists until a release.
 
-use crate::{AllocId, Allocation, AllocationStrategy};
-use mesh2d::{Mesh, PageGrid, PageIndexing, SubMesh};
-use std::collections::HashMap;
+use crate::{Allocation, AllocationStrategy};
+use mesh2d::{Mesh, PageGrid, PageIndexing};
 
 /// Paging(`size_index`) under a chosen page indexing scheme.
 #[derive(Debug)]
 pub struct Paging {
     grid: PageGrid,
-    size_index: u8,
-    /// Free flag per page (index-order position).
-    free: Vec<bool>,
-    /// Free processors summed over free pages.
-    free_procs: u32,
-    /// Page positions granted to each live allocation. Accessed only by
-    /// key (insert/remove), never iterated, so the RandomState hash
-    /// order cannot leak into results (D001-audited).
-    live: HashMap<u64, Vec<usize>>,
-    next_id: u64,
 }
 
 impl Paging {
     /// Builds the page grid for `mesh` with pages of side `2^size_index`.
+    ///
+    /// # Panics
+    /// Panics if the page side exceeds either mesh dimension.
     pub fn new(mesh: &Mesh, size_index: u8, indexing: PageIndexing) -> Self {
-        let grid = PageGrid::new(mesh.width(), mesh.length(), size_index, indexing);
-        let n = grid.page_count();
-        let free_procs = mesh.size();
         Paging {
-            grid,
-            size_index,
-            free: vec![true; n],
-            free_procs,
-            live: HashMap::new(),
-            next_id: 0,
+            grid: PageGrid::new(mesh.width(), mesh.length(), size_index, indexing),
         }
     }
 
@@ -51,87 +43,35 @@ impl Paging {
 }
 
 impl AllocationStrategy for Paging {
-    fn name(&self) -> String {
-        format!("Paging({})", self.size_index)
-    }
-
     fn allocate(&mut self, mesh: &mut Mesh, a: u16, b: u16) -> Option<Allocation> {
         let need = a as u32 * b as u32;
-        if need == 0 || need > self.free_procs {
+        if need == 0 || need > mesh.free_count() {
             return None;
         }
-        let mut chosen = Vec::new();
+        let mut pages = Vec::new();
         let mut granted = 0u32;
-        for (i, page) in self.grid.pages().iter().enumerate() {
-            if !self.free[i] {
+        for page in self.grid.pages() {
+            if !mesh.is_free(page.base) {
                 continue;
             }
-            chosen.push(i);
+            pages.push(*page);
             granted += page.size();
             if granted >= need {
                 break;
             }
         }
-        debug_assert!(granted >= need, "free_procs accounting is broken");
-        let submeshes: Vec<SubMesh> = chosen.iter().map(|&i| self.grid.pages()[i]).collect();
-        for (&i, s) in chosen.iter().zip(&submeshes) {
-            self.free[i] = false;
-            mesh.occupy_submesh(s);
+        debug_assert!(granted >= need, "free pages hold fewer than the free count");
+        for page in &pages {
+            mesh.occupy_submesh(page);
         }
-        self.free_procs -= granted;
-        let id = AllocId(self.next_id);
-        self.next_id += 1;
-        self.live.insert(id.0, chosen);
-        Some(Allocation::new(id, submeshes))
+        Some(Allocation::new(pages))
     }
-
-    fn release(&mut self, mesh: &mut Mesh, alloc: Allocation) {
-        let pages = self
-            .live
-            // procsim-lint: allow(D004): invariant: the simulator only releases allocations this allocator minted, exactly once
-            .remove(&alloc.id.0)
-            .expect("invariant: release of unknown allocation");
-        for &i in &pages {
-            debug_assert!(!self.free[i], "page double free");
-            self.free[i] = true;
-            let s = self.grid.pages()[i];
-            self.free_procs += s.size();
-            mesh.release_submesh(&s);
-        }
-    }
-
-    fn reset(&mut self, mesh: &Mesh) {
-        debug_assert_eq!(mesh.used_count(), 0, "reset on a non-empty mesh");
-        self.free.fill(true);
-        self.free_procs = mesh.size();
-        self.live.clear();
-        self.next_id = 0;
-    }
-
-    fn always_succeeds_when_free(&self) -> bool {
-        // exact for Paging(0); for larger pages success is guaranteed
-        // whenever enough *page* capacity is free, which the free_procs
-        // counter tracks
-        true
-    }
-
-    fn feasible(&self, _mesh: &Mesh, a: u16, b: u16) -> bool {
-        // exact mirror of allocate's early-out against the free *page*
-        // capacity (which equals the mesh free count: pages are occupied
-        // and released whole)
-        let need = a as u32 * b as u32;
-        need != 0 && need <= self.free_procs
-    }
-
-    // failure_persists_until_release: a failed allocate returns before
-    // any page is marked, and need > free_procs is monotone under
-    // further occupies.
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mesh2d::Coord;
+    use mesh2d::{Coord, SubMesh};
 
     fn paging0(mesh: &Mesh) -> Paging {
         Paging::new(mesh, 0, PageIndexing::RowMajor)
@@ -201,21 +141,13 @@ mod tests {
     fn release_unknown_panics() {
         let mut mesh = Mesh::new(4, 4);
         let mut p = paging0(&mesh);
-        let bogus = Allocation::new(AllocId(999), vec![]);
+        let _held = p.allocate(&mut mesh, 2, 1).unwrap();
+        // a 1x1 page that was never granted: the mesh refuses to free it
+        let bogus = Allocation::new(vec![SubMesh::from_base_size(Coord::new(3, 3), 1, 1)]);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             p.release(&mut mesh, bogus);
         }));
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn reset_restores_capacity() {
-        let mut mesh = Mesh::new(4, 4);
-        let mut p = paging0(&mesh);
-        let _leak = p.allocate(&mut mesh, 4, 4).unwrap();
-        mesh.clear();
-        p.reset(&mesh);
-        assert!(p.allocate(&mut mesh, 4, 4).is_some());
     }
 
     #[test]

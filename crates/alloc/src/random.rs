@@ -5,8 +5,14 @@
 //! fails while enough processors are free, but its jobs are maximally
 //! dispersed, maximizing communication distance and contention. Used by
 //! the ablation scenarios as a lower bound on contiguity.
+//!
+//! The default area-bound `feasible` is exact, and `allocate` checks it
+//! before any random draw, so a skipped doomed attempt leaves the stream
+//! exactly where a failed attempt would have. The failure path consumes
+//! no randomness and mutates nothing, and `p > free_count` is monotone
+//! under further occupies, so a failure persists until a release.
 
-use crate::{AllocId, Allocation, AllocationStrategy};
+use crate::{Allocation, AllocationStrategy};
 use desim::SimRng;
 use mesh2d::{Mesh, SubMesh};
 
@@ -14,8 +20,6 @@ use mesh2d::{Mesh, SubMesh};
 #[derive(Debug)]
 pub struct RandomNc {
     rng: SimRng,
-    seed: u64,
-    next_id: u64,
 }
 
 impl RandomNc {
@@ -23,17 +27,11 @@ impl RandomNc {
     pub fn new(seed: u64) -> Self {
         RandomNc {
             rng: SimRng::new(seed),
-            seed,
-            next_id: 0,
         }
     }
 }
 
 impl AllocationStrategy for RandomNc {
-    fn name(&self) -> String {
-        "Random".to_string()
-    }
-
     fn allocate(&mut self, mesh: &mut Mesh, a: u16, b: u16) -> Option<Allocation> {
         let p = a as u32 * b as u32;
         if p == 0 || p > mesh.free_count() {
@@ -51,37 +49,8 @@ impl AllocationStrategy for RandomNc {
             mesh.occupy(c);
             submeshes.push(SubMesh::from_base_size(c, 1, 1));
         }
-        let id = AllocId(self.next_id);
-        self.next_id += 1;
-        Some(Allocation::new(id, submeshes))
+        Some(Allocation::new(submeshes))
     }
-
-    fn release(&mut self, mesh: &mut Mesh, alloc: Allocation) {
-        for s in alloc.submeshes() {
-            mesh.release_submesh(s);
-        }
-    }
-
-    fn reset(&mut self, _mesh: &Mesh) {
-        self.rng = SimRng::new(self.seed);
-        self.next_id = 0;
-    }
-
-    fn always_succeeds_when_free(&self) -> bool {
-        true
-    }
-
-    fn feasible(&self, mesh: &Mesh, a: u16, b: u16) -> bool {
-        // exact mirror of allocate's early-out. Crucially the check runs
-        // BEFORE any RNG draw, so a skipped doomed attempt leaves the
-        // random stream exactly where a failed attempt would have
-        let p = a as u32 * b as u32;
-        p != 0 && p <= mesh.free_count()
-    }
-
-    // failure_persists_until_release: the failure path consumes no
-    // randomness and mutates nothing, and p > free_count is monotone
-    // under further occupies.
 }
 
 #[cfg(test)]
@@ -118,17 +87,5 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
-    }
-
-    #[test]
-    fn reset_restores_stream() {
-        let mut mesh = Mesh::new(8, 8);
-        let mut r = RandomNc::new(3);
-        let first = r.allocate(&mut mesh, 2, 2).unwrap();
-        let first_nodes = first.nodes().to_vec();
-        r.release(&mut mesh, first);
-        r.reset(&mesh);
-        let again = r.allocate(&mut mesh, 2, 2).unwrap();
-        assert_eq!(again.nodes(), first_nodes);
     }
 }

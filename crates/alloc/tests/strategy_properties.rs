@@ -1,17 +1,20 @@
 //! Cross-strategy invariants, property-tested against random churn.
 //!
 //! These are the load-bearing guarantees of the paper's §5 analysis:
-//! 1. non-contiguous strategies (GABL, Paging(0), MBS, Random) succeed
-//!    exactly when enough processors are free;
+//! 1. non-contiguous strategies (GABL, Paging(0), MBS, Random, MC)
+//!    succeed exactly when enough processors are free;
 //! 2. allocations are disjoint and tracked exactly by the mesh;
 //! 3. release fully restores state (no leaks over arbitrary schedules);
 //! 4. allocated processor counts match the request (no over/under grant,
-//!    Paging(k>0) internal fragmentation excepted).
+//!    Paging(k>0) internal fragmentation excepted);
+//! 5. `feasible` never rejects a request `allocate` would grant, and is
+//!    exact for the strategies that succeed whenever enough is free.
 
 use mesh2d::{Mesh, PageIndexing};
 use mesh_alloc::StrategyKind;
 use proptest::prelude::*;
 
+/// The strategies that succeed whenever `a·b` processors are free.
 fn kinds() -> Vec<StrategyKind> {
     vec![
         StrategyKind::Gabl,
@@ -21,7 +24,38 @@ fn kinds() -> Vec<StrategyKind> {
         },
         StrategyKind::Mbs,
         StrategyKind::Random,
+        StrategyKind::Mc,
     ]
+}
+
+/// Every strategy kind, plus Paging with pages larger than one
+/// processor (it over-grants, so `kinds` leaves it out).
+fn all_kinds() -> Vec<StrategyKind> {
+    let mut all = kinds();
+    all.extend([
+        StrategyKind::FirstFit,
+        StrategyKind::BestFit,
+        StrategyKind::Paging {
+            size_index: 2,
+            indexing: PageIndexing::SnakeLike,
+        },
+    ]);
+    all
+}
+
+/// The paper's 16 × 22 mesh, except for MC, whose search is
+/// O(free × mesh): an 8 × 8 mesh keeps its churn cheap.
+fn mesh_for(kind: StrategyKind) -> Mesh {
+    match kind {
+        StrategyKind::Mc => Mesh::new(8, 8),
+        _ => Mesh::new(16, 22),
+    }
+}
+
+/// Folds a generated request into the mesh's sides (the identity on
+/// the 16 × 22 mesh).
+fn fit(mesh: &Mesh, a: u16, b: u16) -> (u16, u16) {
+    (1 + (a - 1) % mesh.width(), 1 + (b - 1) % mesh.length())
 }
 
 /// A random schedule of allocate/release operations.
@@ -46,14 +80,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn noncontiguous_succeed_iff_free(ops in arb_ops(), kind_i in 0usize..4) {
+    fn noncontiguous_succeed_iff_free(ops in arb_ops(), kind_i in 0usize..5) {
         let kind = kinds()[kind_i];
-        let mut mesh = Mesh::new(16, 22);
+        let mut mesh = mesh_for(kind);
         let mut strat = kind.build(&mesh, 42);
         let mut live = Vec::new();
         for op in ops {
             match op {
                 Op::Alloc(a, b) => {
+                    let (a, b) = fit(&mesh, a, b);
                     let p = a as u32 * b as u32;
                     let free = mesh.free_count();
                     match strat.allocate(&mut mesh, a, b) {
@@ -67,7 +102,7 @@ proptest! {
                         None => {
                             prop_assert!(p > free,
                                 "{} failed with {} free for request {}",
-                                strat.name(), free, p);
+                                kind, free, p);
                         }
                     }
                 }
@@ -86,18 +121,19 @@ proptest! {
         for al in live {
             strat.release(&mut mesh, al);
         }
-        prop_assert_eq!(mesh.free_count(), 352);
+        prop_assert_eq!(mesh.free_count(), mesh.size());
     }
 
     #[test]
-    fn allocations_are_disjoint(ops in arb_ops(), kind_i in 0usize..4) {
+    fn allocations_are_disjoint(ops in arb_ops(), kind_i in 0usize..5) {
         let kind = kinds()[kind_i];
-        let mut mesh = Mesh::new(16, 22);
+        let mut mesh = mesh_for(kind);
         let mut strat = kind.build(&mesh, 7);
         let mut live: Vec<mesh_alloc::Allocation> = Vec::new();
         for op in ops {
             match op {
                 Op::Alloc(a, b) => {
+                    let (a, b) = fit(&mesh, a, b);
                     if let Some(al) = strat.allocate(&mut mesh, a, b) {
                         live.push(al);
                     }
@@ -114,11 +150,48 @@ proptest! {
         let mut seen = std::collections::HashSet::new();
         for al in &live {
             for &c in al.nodes() {
-                prop_assert!(seen.insert(c), "{} double-allocated {}", strat.name(), c);
+                prop_assert!(seen.insert(c), "{} double-allocated {}", kind, c);
                 prop_assert!(mesh.is_occupied(c));
             }
         }
         prop_assert_eq!(seen.len() as u32, mesh.used_count());
+    }
+
+    /// `feasible` is a safe pre-check for every strategy: when it says
+    /// no, `allocate` fails and leaves the mesh untouched. For all but
+    /// the contiguous strategies it is exact.
+    #[test]
+    fn feasible_never_rejects_a_grant(ops in arb_ops(), kind_i in 0usize..8) {
+        let kind = all_kinds()[kind_i];
+        let exact = !matches!(kind, StrategyKind::FirstFit | StrategyKind::BestFit);
+        let mut mesh = mesh_for(kind);
+        let mut strat = kind.build(&mesh, 3);
+        let mut live = Vec::new();
+        for op in ops {
+            match op {
+                Op::Alloc(a, b) => {
+                    let (a, b) = fit(&mesh, a, b);
+                    let feasible = strat.feasible(&mesh, a, b);
+                    let (epoch, free) = (mesh.epoch(), mesh.free_count());
+                    let granted = strat.allocate(&mut mesh, a, b);
+                    if !feasible {
+                        prop_assert!(granted.is_none(), "{} granted infeasible {}x{}", kind, a, b);
+                        prop_assert_eq!(mesh.epoch(), epoch, "{} touched the mesh", kind);
+                    }
+                    if exact {
+                        prop_assert_eq!(granted.is_some(), feasible,
+                            "{} feasible {} for {}x{} with {} free", kind, feasible, a, b, free);
+                    }
+                    live.extend(granted);
+                }
+                Op::Release(i) => {
+                    if !live.is_empty() {
+                        let al = live.swap_remove(i % live.len());
+                        strat.release(&mut mesh, al);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1055,6 +1055,21 @@ impl PointSettings {
                 ),
             ));
         }
+        if let StrategyKind::Paging { size_index, .. } = self.strategy {
+            let side = 1u32 << size_index;
+            if side > u32::from(self.mesh_w.min(self.mesh_l)) {
+                return Err(ScenarioError::new(
+                    0,
+                    place,
+                    format!(
+                        "strategy \"{}\" pages are {side} x {side}, larger than the {} x {} mesh",
+                        self.strategy.spelling(),
+                        self.mesh_w,
+                        self.mesh_l
+                    ),
+                ));
+            }
+        }
         Ok(())
     }
 

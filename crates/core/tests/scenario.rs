@@ -298,6 +298,26 @@ fn expand_rejects_meshes_beyond_the_rank_limit() {
 }
 
 #[test]
+fn expand_rejects_pages_larger_than_the_mesh() {
+    // Paging(k) divides the mesh into 2^k x 2^k pages: a page must fit
+    let with = |strategy: &str, w: u32, l: u32| {
+        Scenario::parse(&format!(
+            "[campaign]\nname = \"pages\"\nseed = 1\n\
+             [defaults]\nmesh_w = {w}\nmesh_l = {l}\n\
+             [matrix]\nstrategy = [\"{strategy}\"]\n"
+        ))
+        .unwrap()
+    };
+    assert_eq!(expand(&with("paging2", 4, 4)).unwrap().len(), 1);
+    assert_eq!(expand(&with("paging3", 8, 9)).unwrap().len(), 1);
+    let e = expand(&with("paging3", 4, 4)).unwrap_err();
+    assert!(e.msg.contains("\"paging3\" pages are 8 x 8"), "{e}");
+    assert!(e.msg.contains("4 x 4 mesh"), "{e}");
+    let e = expand(&with("paging1-snake", 16, 1)).unwrap_err();
+    assert!(e.msg.contains("paging1-snake"), "{e}");
+}
+
+#[test]
 fn cache_keys_of_existing_points_are_unchanged() {
     // recorded from fig09.toml before the pattern knob and paging
     // indexing entered the spec string: every all-to-all, row-major

@@ -57,19 +57,8 @@ pub struct RunningJob {
 
 /// A waiting-queue policy.
 pub trait Scheduler {
-    /// Name as used in the paper's figure labels ("FCFS", "SSD").
-    fn name(&self) -> String;
-
     /// Adds an arriving job to the queue.
     fn enqueue(&mut self, job: QueuedJob);
-
-    /// Queue length.
-    fn len(&self) -> usize;
-
-    /// Whether the queue is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 
     /// Writes the job ids that may be attempted in one scheduling pass
     /// into `out` (cleared first), in attempt order. The pass stops at
@@ -91,9 +80,6 @@ pub trait Scheduler {
 
     /// Removes a job that has been allocated (or cancelled).
     fn remove(&mut self, job_id: u64) -> Option<QueuedJob>;
-
-    /// Clears the queue between replications.
-    fn clear(&mut self);
 
     /// Whether this policy uses [`Scheduler::observe`] — lets the
     /// simulator skip building the running-set snapshot otherwise.
@@ -153,12 +139,8 @@ impl SchedulerKind {
         match *self {
             SchedulerKind::Fcfs => Box::new(Fcfs::new()),
             SchedulerKind::Ssd => Box::new(Ssd::new()),
-            SchedulerKind::SjfArea => Box::new(ByKey::new("SJF", |j| {
-                (j.area() as f64, j.arrive)
-            })),
-            SchedulerKind::LjfArea => Box::new(ByKey::new("LJF", |j| {
-                (-(j.area() as f64), j.arrive)
-            })),
+            SchedulerKind::SjfArea => Box::new(ByKey::new(|j| (j.area() as f64, j.arrive))),
+            SchedulerKind::LjfArea => Box::new(ByKey::new(|j| (-(j.area() as f64), j.arrive))),
             SchedulerKind::FcfsWindow(w) => Box::new(FcfsWindow::new(w)),
             SchedulerKind::EasyBackfill => Box::new(EasyBackfill::new()),
         }
@@ -215,16 +197,8 @@ impl Fcfs {
 }
 
 impl Scheduler for Fcfs {
-    fn name(&self) -> String {
-        "FCFS".into()
-    }
-
     fn enqueue(&mut self, job: QueuedJob) {
         self.q.push_back(job);
-    }
-
-    fn len(&self) -> usize {
-        self.q.len()
     }
 
     fn attempt_order_into(&self, out: &mut Vec<u64>) {
@@ -235,10 +209,6 @@ impl Scheduler for Fcfs {
     fn remove(&mut self, job_id: u64) -> Option<QueuedJob> {
         let pos = self.q.iter().position(|j| j.job_id == job_id)?;
         self.q.remove(pos)
-    }
-
-    fn clear(&mut self) {
-        self.q.clear();
     }
 }
 
@@ -266,16 +236,8 @@ impl Ssd {
 }
 
 impl Scheduler for Ssd {
-    fn name(&self) -> String {
-        "SSD".into()
-    }
-
     fn enqueue(&mut self, job: QueuedJob) {
         self.jobs.push(job);
-    }
-
-    fn len(&self) -> usize {
-        self.jobs.len()
     }
 
     fn attempt_order_into(&self, out: &mut Vec<u64>) {
@@ -287,24 +249,18 @@ impl Scheduler for Ssd {
         let pos = self.jobs.iter().position(|j| j.job_id == job_id)?;
         Some(self.jobs.swap_remove(pos))
     }
-
-    fn clear(&mut self) {
-        self.jobs.clear();
-    }
 }
 
 /// Generic priority policy over a key function (used for SJF/LJF).
 pub struct ByKey {
-    label: &'static str,
     key: fn(&QueuedJob) -> (f64, Time),
     jobs: Vec<QueuedJob>,
 }
 
 impl ByKey {
-    /// A queue ordered by `key` (ascending), labelled `label`.
-    pub fn new(label: &'static str, key: fn(&QueuedJob) -> (f64, Time)) -> Self {
+    /// A queue ordered by `key` (ascending).
+    pub fn new(key: fn(&QueuedJob) -> (f64, Time)) -> Self {
         ByKey {
-            label,
             key,
             jobs: Vec::new(),
         }
@@ -312,16 +268,8 @@ impl ByKey {
 }
 
 impl Scheduler for ByKey {
-    fn name(&self) -> String {
-        self.label.into()
-    }
-
     fn enqueue(&mut self, job: QueuedJob) {
         self.jobs.push(job);
-    }
-
-    fn len(&self) -> usize {
-        self.jobs.len()
     }
 
     fn attempt_order_into(&self, out: &mut Vec<u64>) {
@@ -343,10 +291,6 @@ impl Scheduler for ByKey {
     fn remove(&mut self, job_id: u64) -> Option<QueuedJob> {
         let pos = self.jobs.iter().position(|j| j.job_id == job_id)?;
         Some(self.jobs.swap_remove(pos))
-    }
-
-    fn clear(&mut self) {
-        self.jobs.clear();
     }
 }
 
@@ -371,16 +315,8 @@ impl FcfsWindow {
 }
 
 impl Scheduler for FcfsWindow {
-    fn name(&self) -> String {
-        format!("FCFS-W{}", self.window)
-    }
-
     fn enqueue(&mut self, job: QueuedJob) {
         self.q.push_back(job);
-    }
-
-    fn len(&self) -> usize {
-        self.q.len()
     }
 
     fn attempt_order_into(&self, out: &mut Vec<u64>) {
@@ -391,10 +327,6 @@ impl Scheduler for FcfsWindow {
     fn remove(&mut self, job_id: u64) -> Option<QueuedJob> {
         let pos = self.q.iter().position(|j| j.job_id == job_id)?;
         self.q.remove(pos)
-    }
-
-    fn clear(&mut self) {
-        self.q.clear();
     }
 }
 
@@ -444,16 +376,8 @@ impl EasyBackfill {
 }
 
 impl Scheduler for EasyBackfill {
-    fn name(&self) -> String {
-        "EASY".into()
-    }
-
     fn enqueue(&mut self, job: QueuedJob) {
         self.q.push_back(job);
-    }
-
-    fn len(&self) -> usize {
-        self.q.len()
     }
 
     fn attempt_order_into(&self, out: &mut Vec<u64>) {
@@ -481,13 +405,6 @@ impl Scheduler for EasyBackfill {
     fn remove(&mut self, job_id: u64) -> Option<QueuedJob> {
         let pos = self.q.iter().position(|j| j.job_id == job_id)?;
         self.q.remove(pos)
-    }
-
-    fn clear(&mut self) {
-        self.q.clear();
-        self.running.clear();
-        self.free = 0;
-        self.now = 0;
     }
 
     fn wants_observation(&self) -> bool {
@@ -532,7 +449,6 @@ mod tests {
         assert_eq!(s.attempt_order(), vec![2]);
         s.remove(2);
         assert!(s.attempt_order().is_empty());
-        assert!(s.is_empty());
     }
 
     #[test]
@@ -607,23 +523,24 @@ mod tests {
         assert!(s.remove(42).is_none());
         s.enqueue(job(1, 0, (1, 1), 1.0));
         assert!(s.remove(42).is_none());
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.attempt_order(), vec![1]);
     }
 
     #[test]
-    fn clear_empties_all_kinds() {
+    fn removing_every_job_empties_all_kinds() {
         for kind in [
             SchedulerKind::Fcfs,
             SchedulerKind::Ssd,
             SchedulerKind::SjfArea,
             SchedulerKind::LjfArea,
             SchedulerKind::FcfsWindow(4),
+            SchedulerKind::EasyBackfill,
         ] {
             let mut s = kind.build();
             s.enqueue(job(1, 0, (2, 3), 4.0));
             s.enqueue(job(2, 1, (3, 2), 2.0));
-            s.clear();
-            assert!(s.is_empty());
+            assert!(s.remove(1).is_some() && s.remove(2).is_some());
+            assert!(s.remove(1).is_none());
             assert!(s.attempt_order().is_empty());
         }
     }

@@ -536,13 +536,6 @@ pub struct ScaledJobs {
     runtime_scale: f64,
 }
 
-impl ScaledJobs {
-    /// Number of records in one full pass over the underlying trace.
-    pub fn trace_len(&self) -> usize {
-        self.len
-    }
-}
-
 impl Iterator for ScaledJobs {
     type Item = JobSpec;
 

@@ -332,12 +332,6 @@ impl Network {
         &self.topo
     }
 
-    /// Packets currently inside the network.
-    #[inline]
-    pub fn active_count(&self) -> usize {
-        self.active.len()
-    }
-
     /// Packets waiting in source injection queues.
     pub fn queued_count(&self) -> usize {
         self.pending_nodes

@@ -200,6 +200,25 @@ fn oversized_mesh_dies_with_scenario_error() {
 }
 
 #[test]
+fn oversized_pages_die_with_scenario_error() {
+    // Paging(3) needs 8 x 8 pages, which a 4 x 4 mesh cannot hold: the
+    // dry run must reject it before any worker builds the page grid
+    let bad = tmp("big_pages");
+    std::fs::write(
+        &bad,
+        "[campaign]\nname = \"pages\"\nseed = 1\n\n[defaults]\nstrategy = \"paging3\"\n\
+         mesh_w = 4\nmesh_l = 4\n\n[matrix]\nload = [0.001]\n",
+    )
+    .unwrap();
+    let r = campaign(&[bad.to_str().unwrap(), "--dry-run", "--cache", "/nonexistent"]);
+    assert!(!r.success, "pages larger than the mesh must fail");
+    assert_eq!(r.code, Some(2), "usage errors exit 2");
+    assert!(r.stderr.contains("scenario"), "{}", r.stderr);
+    assert!(r.stderr.contains("pages are 8 x 8"), "{}", r.stderr);
+    let _ = std::fs::remove_file(&bad);
+}
+
+#[test]
 fn every_checked_in_scenario_expands() {
     // the ports of the former figure and ablation binaries are only ever
     // dry-run in CI; a scenario that stops parsing or expanding fails here
