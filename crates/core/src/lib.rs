@@ -15,7 +15,9 @@
 //! "the execution times of jobs are not simulator inputs".
 //!
 //! Entry points:
-//! * [`Simulator::run`] — one replication, returning [`RunMetrics`],
+//! * [`Simulator::run`] — one replication, returning [`RunMetrics`]
+//!   ([`Simulator::run_with`] runs it under a [`Probe`] that observes
+//!   every layer call and decision, such as [`MeanHops`]),
 //! * [`replicate::run_points`] — a batch of points (one point, or every
 //!   (series × load) combination of a figure), each replicated until the
 //!   paper's 95 % CI / 5 % relative error criterion is met, in parallel
@@ -47,6 +49,7 @@ pub mod campaign;
 pub mod config;
 pub mod metrics;
 pub mod pool;
+pub mod probe;
 pub mod replicate;
 pub mod scenario;
 pub mod simulator;
@@ -62,6 +65,7 @@ pub use config::{SimConfig, WorkloadSpec};
 pub use scenario::{PointSettings, Scenario, ScenarioError};
 pub use metrics::RunMetrics;
 pub use pool::WorkerPool;
+pub use probe::{Event, MeanHops, NoProbe, Probe, RejectCause, Span};
 pub use replicate::{derive_seed, run_point_seq, run_points, PointResult};
 pub use simulator::Simulator;
 

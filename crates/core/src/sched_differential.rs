@@ -5,10 +5,10 @@
 //! buffers) must make bit-for-bit the same decisions as the
 //! pre-memoization `schedule_pass_reference`, which is kept verbatim in
 //! the simulator as the oracle and, like this module, compiled only for
-//! tests. Both sides run the same configuration and the full per-job
-//! start logs (job id, start time, request shape, granted processors,
-//! fragment count) plus the end-of-run metrics are compared for
-//! equality.
+//! tests. Both sides run the same configuration under a [`StartLog`]
+//! probe, and the full per-job start logs (job id, start time, request
+//! shape, granted processors, fragment count) plus the end-of-run
+//! metrics are compared for equality.
 //!
 //! The matrix deliberately crosses every axis that reaches a different
 //! code path in the pass:
@@ -26,7 +26,9 @@
 
 // procsim-lint: test-only: included via `#[cfg(test)] mod sched_differential` in lib.rs; the oracle it drives is compiled for tests only
 
+use crate::probe::{Event, Probe};
 use crate::{PageIndexing, RunMetrics, SimConfig, Simulator, StrategyKind, WorkloadSpec};
+use desim::Time;
 use mesh_sched::SchedulerKind;
 use wormnet::TopologyKind;
 use workload::SideDist;
@@ -81,21 +83,49 @@ fn cfg(
     cfg
 }
 
-fn assert_identical(c: &SimConfig, rep: u64, tag: &str) {
-    let (fast_m, fast_log) = Simulator::new(c, rep).run_recorded();
-    let (ref_m, ref_log) = Simulator::new(c, rep).run_reference_recorded();
-    assert_eq!(
-        fast_log.len(),
-        ref_log.len(),
-        "{tag}: start counts diverge ({} vs {})",
-        fast_log.len(),
-        ref_log.len()
-    );
-    for (i, (f, r)) in fast_log.iter().zip(&ref_log).enumerate() {
-        assert_eq!(f, r, "{tag}: start decision {i} diverges");
+/// One job-start decision — the complete observable outcome of a
+/// scheduling pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StartDecision {
+    /// Internal (arrival-order) job id.
+    job_id: u64,
+    /// Simulation time the job started service.
+    at: Time,
+    /// Requested shape `(a, b)`.
+    shape: (u16, u16),
+    /// Processors granted.
+    procs: u32,
+    /// Number of disjoint sub-meshes granted.
+    fragments: usize,
+}
+
+/// Records every start decision: two runs that agree on it and on the
+/// metrics made identical scheduling decisions.
+#[derive(Default)]
+struct StartLog(Vec<StartDecision>);
+
+impl Probe for StartLog {
+    fn event(&mut self, event: Event<'_>) {
+        if let Event::Start {
+            job,
+            at,
+            shape,
+            alloc,
+        } = event
+        {
+            self.0.push(StartDecision {
+                job_id: job,
+                at,
+                shape,
+                procs: alloc.size(),
+                fragments: alloc.fragments(),
+            });
+        }
     }
-    // bit-level metric comparison (f64::to_bits: "identical" here means
-    // identical arithmetic, not approximately equal results)
+}
+
+/// Asserts two runs' metrics are identical to the bit.
+pub(crate) fn assert_same_metrics(fast_m: &RunMetrics, ref_m: &RunMetrics, tag: &str) {
     assert_eq!(fast_m.jobs, ref_m.jobs, "{tag}: job counts diverge");
     assert_eq!(fast_m.packets, ref_m.packets, "{tag}: packet counts diverge");
     assert_eq!(fast_m.end_time, ref_m.end_time, "{tag}: end times diverge");
@@ -111,13 +141,32 @@ fn assert_identical(c: &SimConfig, rep: u64, tag: &str) {
         ]
         .map(f64::to_bits)
     };
-    assert_eq!(bits(&fast_m), bits(&ref_m), "{tag}: metrics diverge");
+    assert_eq!(bits(fast_m), bits(ref_m), "{tag}: metrics diverge");
+}
+
+fn assert_identical(c: &SimConfig, rep: u64, tag: &str) {
+    let (fast_m, StartLog(fast_log)) = Simulator::new(c, rep).run_with(StartLog::default());
+    let (ref_m, StartLog(ref_log)) =
+        Simulator::new(c, rep).with_reference_pass().run_with(StartLog::default());
+    assert_eq!(
+        fast_log.len(),
+        ref_log.len(),
+        "{tag}: start counts diverge ({} vs {})",
+        fast_log.len(),
+        ref_log.len()
+    );
+    for (i, (f, r)) in fast_log.iter().zip(&ref_log).enumerate() {
+        assert_eq!(f, r, "{tag}: start decision {i} diverges");
+    }
+    // bit-level metric comparison (f64::to_bits: "identical" here means
+    // identical arithmetic, not approximately equal results)
+    assert_same_metrics(&fast_m, &ref_m, tag);
 }
 
 /// The full cross: 7 strategies x 6 schedulers x 2 topologies, one
-/// moderately loaded run each (84 seed-runs).
-#[test]
-fn full_matrix_is_bit_identical() {
+/// moderately loaded run each (84 seed-runs), with each cell's tag.
+pub(crate) fn full_matrix() -> Vec<(String, SimConfig)> {
+    let mut cells = Vec::new();
     for (si, &strategy) in STRATEGIES.iter().enumerate() {
         for (qi, &scheduler) in SCHEDULERS.iter().enumerate() {
             for (ti, &topology) in [TopologyKind::Mesh, TopologyKind::Torus].iter().enumerate() {
@@ -130,9 +179,17 @@ fn full_matrix_is_bit_identical() {
                     0.004,
                     seed,
                 );
-                assert_identical(&c, 0, &format!("{strategy:?}/{scheduler:?}/{topology:?}"));
+                cells.push((format!("{strategy:?}/{scheduler:?}/{topology:?}"), c));
             }
         }
+    }
+    cells
+}
+
+#[test]
+fn full_matrix_is_bit_identical() {
+    for (tag, c) in full_matrix() {
+        assert_identical(&c, 0, &tag);
     }
 }
 

@@ -2,6 +2,7 @@
 
 use crate::config::{SimConfig, WorkloadSpec};
 use crate::metrics::RunMetrics;
+use crate::probe::{Event, NoProbe, Probe, RejectCause, Span};
 use desim::{EventQueue, SimRng, Time};
 use mesh2d::{Coord, Mesh};
 use mesh_alloc::{Allocation, AllocationStrategy};
@@ -207,8 +208,88 @@ fn synthetic_source(
     ))
 }
 
+/// Runs `f` inside `span`.
+#[inline(always)]
+fn in_span<P: Probe, R>(probe: &mut P, span: Span, f: impl FnOnce() -> R) -> R {
+    probe.begin(span);
+    let r = f();
+    probe.end(span);
+    r
+}
+
+/// Opens replication `rep`'s job source.
+fn open_source(cfg: &SimConfig, rep: u64, wl_rng: &mut SimRng) -> Source {
+    let needed = cfg.warmup_jobs + cfg.measured_jobs;
+    match &cfg.workload {
+        WorkloadSpec::Stochastic {
+            sides,
+            load,
+            num_mes,
+        } => Source::Stochastic {
+            gen: StochasticGen {
+                mesh_w: cfg.mesh_w,
+                mesh_l: cfg.mesh_l,
+                sides: *sides,
+                load: *load,
+                num_mes_mean: *num_mes,
+            },
+            clock: 0,
+            next_id: 0,
+        },
+        WorkloadSpec::SyntheticTrace {
+            model,
+            load,
+            runtime_scale,
+        } => synthetic_source(
+            cfg,
+            model.jobs,
+            model.mean_interarrival_s,
+            *load,
+            *runtime_scale,
+            |jobs| ParagonModel { jobs, ..model.clone() }.generate(&mut wl_rng.substream(99)),
+        ),
+        WorkloadSpec::SyntheticCm5 {
+            model,
+            load,
+            runtime_scale,
+        } => synthetic_source(
+            cfg,
+            model.jobs,
+            model.mean_interarrival_s,
+            *load,
+            *runtime_scale,
+            |jobs| Cm5Model { jobs, ..model.clone() }.generate(&mut wl_rng.substream(99)),
+        ),
+        WorkloadSpec::FixedTrace(jobs) => {
+            assert!(!jobs.is_empty(), "empty fixed trace");
+            let pos = segment_start(jobs.len(), rep, needed);
+            let fixed = TraceJobs::Fixed {
+                jobs: jobs.clone(),
+                pos,
+            };
+            Source::Trace(TraceReplay::new(fixed, jobs.len(), None))
+        }
+        WorkloadSpec::Trace {
+            trace,
+            load,
+            runtime_scale,
+        } => {
+            // streaming replay: the scaled stream is never
+            // materialized — each replication opens its own lazy
+            // cursor at its segment offset, and concurrent
+            // replications of the same (trace, mesh, rho) share only
+            // the trace source (no per-point cache to double-fill)
+            let len = trace.len();
+            let pos = segment_start(len, rep, needed);
+            let stream = trace.stream_jobs(cfg.mesh_w, cfg.mesh_l, *load, *runtime_scale, pos);
+            Source::Trace(TraceReplay::new(TraceJobs::Stream(stream), len, None))
+        }
+    }
+}
+
 /// One simulation replication. Create with [`Simulator::new`], consume
-/// with [`Simulator::run`].
+/// with [`Simulator::run`] or, observed by a [`Probe`], with
+/// [`Simulator::run_with`].
 pub struct Simulator {
     cfg: SimConfig,
     mesh: Mesh,
@@ -219,7 +300,10 @@ pub struct Simulator {
     now: Time,
     wl_rng: SimRng,
     pat_rng: SimRng,
-    source: Source,
+    rep: u64,
+    /// The job source, opened when the run starts (inside its
+    /// [`Span::WorkloadCursorOpen`]).
+    source: Option<Source>,
     /// Live job states keyed by internal id. A BTreeMap, not a HashMap:
     /// `schedule_pass` iterates this map to build the running-job
     /// snapshot for reservation-aware schedulers, and EASY's
@@ -270,35 +354,10 @@ pub struct Simulator {
     /// Whether the active strategy's failures are stable until release
     /// (queried once at construction).
     memo_enabled: bool,
-    /// When present, every start decision is appended (the
-    /// differential battery's start log; test builds only).
-    #[cfg(test)]
-    start_log: Option<Vec<StartDecision>>,
     /// Drive [`Simulator::schedule_pass_reference`] instead of the
     /// memoized pass (the differential oracle; test builds only).
     #[cfg(test)]
     reference_pass: bool,
-}
-
-/// One job-start decision — the complete observable outcome of a
-/// scheduling pass. Recorded by [`Simulator::run_recorded`] /
-/// [`Simulator::run_reference_recorded`] so the differential battery
-/// can assert that the memoized scheduling pass and the reference
-/// oracle start the same jobs at the same times with the same
-/// allocations.
-#[cfg(test)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct StartDecision {
-    /// Internal (arrival-order) job id.
-    pub job_id: u64,
-    /// Simulation time the job started service.
-    pub at: Time,
-    /// Requested shape `(a, b)`.
-    pub shape: (u16, u16),
-    /// Processors granted.
-    pub procs: u32,
-    /// Number of disjoint sub-meshes granted.
-    pub fragments: usize,
 }
 
 impl Simulator {
@@ -321,7 +380,7 @@ impl Simulator {
             cfg.mesh_l
         );
         let mut rep_rng = SimRng::new(crate::replicate::derive_seed(cfg.seed, rep));
-        let mut wl_rng = rep_rng.substream(1);
+        let wl_rng = rep_rng.substream(1);
         let pat_rng = rep_rng.substream(2);
         let strat_seed = rep_rng.substream(3).raw();
 
@@ -334,73 +393,6 @@ impl Simulator {
         };
         let net = Network::with_topology(topo, cfg.ts);
 
-        let needed = cfg.warmup_jobs + cfg.measured_jobs;
-        let source = match &cfg.workload {
-            WorkloadSpec::Stochastic {
-                sides,
-                load,
-                num_mes,
-            } => Source::Stochastic {
-                gen: StochasticGen {
-                    mesh_w: cfg.mesh_w,
-                    mesh_l: cfg.mesh_l,
-                    sides: *sides,
-                    load: *load,
-                    num_mes_mean: *num_mes,
-                },
-                clock: 0,
-                next_id: 0,
-            },
-            WorkloadSpec::SyntheticTrace {
-                model,
-                load,
-                runtime_scale,
-            } => synthetic_source(
-                cfg,
-                model.jobs,
-                model.mean_interarrival_s,
-                *load,
-                *runtime_scale,
-                |jobs| ParagonModel { jobs, ..model.clone() }.generate(&mut wl_rng.substream(99)),
-            ),
-            WorkloadSpec::SyntheticCm5 {
-                model,
-                load,
-                runtime_scale,
-            } => synthetic_source(
-                cfg,
-                model.jobs,
-                model.mean_interarrival_s,
-                *load,
-                *runtime_scale,
-                |jobs| Cm5Model { jobs, ..model.clone() }.generate(&mut wl_rng.substream(99)),
-            ),
-            WorkloadSpec::FixedTrace(jobs) => {
-                assert!(!jobs.is_empty(), "empty fixed trace");
-                let pos = segment_start(jobs.len(), rep, needed);
-                let fixed = TraceJobs::Fixed {
-                    jobs: jobs.clone(),
-                    pos,
-                };
-                Source::Trace(TraceReplay::new(fixed, jobs.len(), None))
-            }
-            WorkloadSpec::Trace {
-                trace,
-                load,
-                runtime_scale,
-            } => {
-                // streaming replay: the scaled stream is never
-                // materialized — each replication opens its own lazy
-                // cursor at its segment offset, and concurrent
-                // replications of the same (trace, mesh, rho) share only
-                // the trace source (no per-point cache to double-fill)
-                let len = trace.len();
-                let pos = segment_start(len, rep, needed);
-                let stream = trace.stream_jobs(cfg.mesh_w, cfg.mesh_l, *load, *runtime_scale, pos);
-                Source::Trace(TraceReplay::new(TraceJobs::Stream(stream), len, None))
-            }
-        };
-
         let memo_enabled = strategy.failure_persists_until_release();
         Simulator {
             cfg: cfg.clone(),
@@ -412,7 +404,8 @@ impl Simulator {
             now: 0,
             wl_rng,
             pat_rng,
-            source,
+            rep,
+            source: None,
             jobs: BTreeMap::new(),
             completed: 0,
             util: TimeWeighted::new(0, 0.0),
@@ -432,46 +425,54 @@ impl Simulator {
             failed_shapes: HashMap::new(),
             memo_enabled,
             #[cfg(test)]
-            start_log: None,
-            #[cfg(test)]
             reference_pass: false,
         }
     }
 
     /// Schedules the next arrival from the job source, if any.
-    fn schedule_next_arrival(&mut self) {
-        match &mut self.source {
-            Source::Stochastic {
+    fn schedule_next_arrival<P: Probe>(&mut self, probe: &mut P) {
+        let now = self.now;
+        let job = match &mut self.source {
+            Some(Source::Stochastic {
                 gen,
                 clock,
                 next_id,
-            } => {
-                let job = gen.next_job(*next_id, clock, &mut self.wl_rng);
+            }) => {
+                let job = in_span(probe, Span::WorkloadNextJob, || {
+                    gen.next_job(*next_id, clock, &mut self.wl_rng)
+                });
                 *next_id += 1;
-                self.events.schedule(job.arrive.max(self.now), Ev::Arrival(job));
+                Some(job)
             }
-            Source::Trace(replay) => {
-                if let Some(job) = replay.next(self.now) {
-                    self.events.schedule(job.arrive.max(self.now), Ev::Arrival(job));
-                }
+            Some(Source::Trace(replay)) => {
+                in_span(probe, Span::WorkloadNextJob, || replay.next(now))
             }
+            None => None,
+        };
+        if let Some(job) = job {
+            probe.event(Event::JobDrawn);
+            in_span(probe, Span::DesimSchedule, || {
+                self.events.schedule(job.arrive.max(now), Ev::Arrival(job))
+            });
         }
     }
 
-    fn handle(&mut self, ev: Ev) {
+    fn handle<P: Probe>(&mut self, ev: Ev, probe: &mut P) {
         match ev {
             Ev::Arrival(spec) => {
                 let id = self.next_internal_id;
                 self.next_internal_id += 1;
                 let mut spec = spec;
                 spec.id = id;
-                self.scheduler.enqueue(QueuedJob {
+                let queued = QueuedJob {
                     job_id: id,
                     arrive: spec.arrive,
                     a: spec.a,
                     b: spec.b,
                     service_demand: spec.service_demand,
-                });
+                };
+                in_span(probe, Span::SchedQueueOps, || self.scheduler.enqueue(queued));
+                probe.event(Event::Arrive(id));
                 self.jobs.insert(
                     id,
                     JobState {
@@ -486,22 +487,22 @@ impl Simulator {
                         pkts: 0,
                     },
                 );
-                self.schedule_next_arrival();
+                self.schedule_next_arrival(probe);
             }
-            Ev::LocalDone(id) => self.depart(id),
+            Ev::LocalDone(id) => self.depart(id, probe),
         }
     }
 
     /// One scheduling pass: repeatedly attempt the policy's candidates
     /// until a full pass starts nothing. Test builds can divert it to
     /// the pre-memoization reference for differential runs.
-    fn schedule_pass(&mut self) {
+    fn schedule_pass<P: Probe>(&mut self, probe: &mut P) {
         #[cfg(test)]
         if self.reference_pass {
-            self.schedule_pass_reference();
+            self.schedule_pass_reference(probe);
             return;
         }
-        self.schedule_pass_fast();
+        self.schedule_pass_fast(probe);
     }
 
     /// The memoized scheduling pass. Identical decisions to the
@@ -524,8 +525,9 @@ impl Simulator {
     ///   so skipping the doomed search is bit-exact. This also covers
     ///   later same-shape jobs within one pass, since the release epoch
     ///   cannot advance mid-pass.
-    fn schedule_pass_fast(&mut self) {
-        if self.scheduler.wants_observation() {
+    fn schedule_pass_fast<P: Probe>(&mut self, probe: &mut P) {
+        probe.begin(Span::CorePass);
+        if in_span(probe, Span::SchedObserve, || self.scheduler.wants_observation()) {
             if self.snapshot_stale {
                 let factor = self.demand_time_factor;
                 self.running_snapshot.clear();
@@ -541,18 +543,23 @@ impl Simulator {
                 );
                 self.snapshot_stale = false;
             }
-            self.scheduler
-                .observe(&self.running_snapshot, self.mesh.free_count(), self.now);
-            self.scheduler.set_demand_time_factor(self.demand_time_factor);
+            in_span(probe, Span::SchedObserve, || {
+                self.scheduler
+                    .observe(&self.running_snapshot, self.mesh.free_count(), self.now);
+                self.scheduler.set_demand_time_factor(self.demand_time_factor);
+            });
         }
         let mut order = std::mem::take(&mut self.attempt_buf);
         loop {
-            self.scheduler.attempt_order_into(&mut order);
+            in_span(probe, Span::SchedAttemptOrder, || {
+                self.scheduler.attempt_order_into(&mut order)
+            });
             if order.is_empty() {
                 break;
             }
             let mut started = false;
             for &id in &order {
+                probe.event(Event::Attempt);
                 let (a, b) = {
                     // procsim-lint: allow(D004): invariant: every id in attempt_order was enqueued with a JobState in Ev::Arrival
                     let js = self.jobs.get(&id).expect("invariant: queued job without state");
@@ -560,21 +567,31 @@ impl Simulator {
                 };
                 let rel = self.mesh.release_epoch();
                 if self.memo_enabled && self.failed_shapes.get(&(a, b)) == Some(&rel) {
+                    probe.event(Event::Reject(id, RejectCause::Memo));
                     continue; // this exact shape already failed since the last release
                 }
-                if !self.strategy.feasible(&self.mesh, a, b) {
+                let feasible = in_span(probe, Span::AllocFeasible, || {
+                    self.strategy.feasible(&self.mesh, a, b)
+                });
+                if !feasible {
+                    probe.event(Event::Reject(id, RejectCause::Feasible));
                     if self.memo_enabled {
                         self.failed_shapes.insert((a, b), rel);
                     }
                     continue;
                 }
-                if let Some(alloc) = self.strategy.allocate(&mut self.mesh, a, b) {
+                let granted = in_span(probe, Span::AllocAllocate, || {
+                    self.strategy.allocate(&mut self.mesh, a, b)
+                });
+                if let Some(alloc) = granted {
+                    let removed = in_span(probe, Span::SchedQueueOps, || self.scheduler.remove(id));
                     // procsim-lint: allow(D004): invariant: id came from this scheduler's own attempt_order this pass
-                    self.scheduler.remove(id).expect("invariant: job vanished from queue");
-                    self.start_job(id, alloc);
+                    removed.expect("invariant: job vanished from queue");
+                    self.start_job(id, alloc, probe);
                     started = true;
                     break;
                 }
+                probe.event(Event::Reject(id, RejectCause::Search));
                 if self.memo_enabled {
                     self.failed_shapes.insert((a, b), rel);
                 }
@@ -584,6 +601,7 @@ impl Simulator {
             }
         }
         self.attempt_buf = order;
+        probe.end(Span::CorePass);
     }
 
     /// The pre-memoization scheduling pass, kept verbatim as the
@@ -594,7 +612,7 @@ impl Simulator {
     /// [`Simulator::schedule_pass_fast`] to this across strategies,
     /// schedulers, topologies and seeds.
     #[cfg(test)]
-    fn schedule_pass_reference(&mut self) {
+    fn schedule_pass_reference<P: Probe>(&mut self, probe: &mut P) {
         if self.scheduler.wants_observation() {
             let running: Vec<RunningJob> = self
                 .jobs
@@ -623,7 +641,7 @@ impl Simulator {
                 };
                 if let Some(alloc) = self.strategy.allocate(&mut self.mesh, a, b) {
                     self.scheduler.remove(id).expect("invariant: job vanished from queue");
-                    self.start_job(id, alloc);
+                    self.start_job(id, alloc, probe);
                     started = true;
                     break;
                 }
@@ -634,23 +652,15 @@ impl Simulator {
         }
     }
 
-    fn start_job(&mut self, id: u64, alloc: Allocation) {
+    fn start_job<P: Probe>(&mut self, id: u64, alloc: Allocation, probe: &mut P) {
         self.util.update(self.now, self.mesh.used_count() as f64);
         // a new running job invalidates the cached observation snapshot
         self.snapshot_stale = true;
         // procsim-lint: allow(D004): invariant: start_job is only reached from schedule_pass with a live queued id
         let js = self.jobs.get_mut(&id).expect("invariant: started job without state");
         js.start = self.now;
-        #[cfg(test)]
-        if let Some(log) = self.start_log.as_mut() {
-            log.push(StartDecision {
-                job_id: id,
-                at: js.start,
-                shape: (js.spec.a, js.spec.b),
-                procs: alloc.size(),
-                fragments: alloc.fragments(),
-            });
-        }
+        let shape = (js.spec.a, js.spec.b);
+        probe.event(Event::Start { job: id, at: js.start, shape, alloc: &alloc });
         js.alloc = Some(alloc);
         // the rank → coordinate layout was expanded once when the
         // allocation was built; every use below indexes the cached slice
@@ -667,23 +677,26 @@ impl Simulator {
         // and the heap grows (deep_queue's peak RSS rose 5 %)
         let mut cursors = Vec::with_capacity(nodes.len());
         cursors.resize(nodes.len(), (0u32, 0u32));
-        pattern_ranks(self.cfg.pattern, nodes, msgs_per_node, &mut self.pat_rng, |src, dst| {
-            // procsim-lint: allow(D005): dsts holds the job's messages, whose count `outstanding` keeps as a u32
-            let at = dsts.len() as u32;
-            let cursor = &mut cursors[src as usize];
-            if cursor.1 == 0 {
-                *cursor = (at, at);
-            }
-            inv_assert!(cursor.1 == at, "rank {src}'s messages restart after another rank's");
-            dsts.push(nodes[dst as usize]);
-            cursor.1 += 1;
+        in_span(probe, Span::WormnetPattern, || {
+            pattern_ranks(self.cfg.pattern, nodes, msgs_per_node, &mut self.pat_rng, |src, dst| {
+                // procsim-lint: allow(D005): dsts holds the job's messages, whose count `outstanding` keeps as a u32
+                let at = dsts.len() as u32;
+                let cursor = &mut cursors[src as usize];
+                if cursor.1 == 0 {
+                    *cursor = (at, at);
+                }
+                inv_assert!(cursor.1 == at, "rank {src}'s messages restart after another rank's");
+                dsts.push(nodes[dst as usize]);
+                cursor.1 += 1;
+            })
         });
         if dsts.is_empty() {
             // single-processor job (or pattern with a silent role):
             // local-computation proxy with the same per-message cost a
             // network-free send would have
             let local = msgs_per_node as Time * (self.cfg.plen + self.cfg.ts) as Time;
-            self.events.schedule(self.now + local.max(1), Ev::LocalDone(id));
+            let at = self.now + local.max(1);
+            in_span(probe, Span::DesimSchedule, || self.events.schedule(at, Ev::LocalDone(id)));
             return;
         }
         // procsim-lint: allow(D005): a job sends nodes * msgs_per_node messages, far under u32::MAX for the drawn message counts; outstanding mirrors per-send decrements
@@ -693,15 +706,17 @@ impl Simulator {
         // subsequent messages go out as deliveries come back
         for (rank, cursor) in cursors.iter_mut().enumerate() {
             if let Some(dst) = next_dst(&dsts, cursor) {
-                self.net
-                    .send(nodes[rank], dst, self.cfg.plen, encode_tag(id, rank), self.now);
+                let tag = encode_tag(id, rank);
+                in_span(probe, Span::WormnetSend, || {
+                    self.net.send(nodes[rank], dst, self.cfg.plen, tag, self.now)
+                });
             }
         }
         js.dsts = dsts;
         js.cursors = cursors;
     }
 
-    fn depart(&mut self, id: u64) {
+    fn depart<P: Probe>(&mut self, id: u64, probe: &mut P) {
         // a departure invalidates the cached observation snapshot (and,
         // below, possibly the demand->time factor baked into est_completion)
         self.snapshot_stale = true;
@@ -710,7 +725,8 @@ impl Simulator {
         debug_assert_eq!(js.outstanding, 0);
         if let Some(alloc) = js.alloc {
             let frags = alloc.fragments();
-            self.strategy.release(&mut self.mesh, alloc);
+            in_span(probe, Span::AllocRelease, || self.strategy.release(&mut self.mesh, alloc));
+            probe.event(Event::Depart(id));
             self.util.update(self.now, self.mesh.used_count() as f64);
             self.completed += 1;
             if self.completed == self.cfg.warmup_jobs {
@@ -736,15 +752,16 @@ impl Simulator {
     }
 
     /// Collects delivered packets; departs jobs whose last packet landed.
-    fn absorb_network_completions(&mut self) -> bool {
+    fn absorb_network_completions<P: Probe>(&mut self, probe: &mut P) -> bool {
         let mut completions = std::mem::take(&mut self.completion_buf);
-        self.net.drain_completions_into(&mut completions);
+        in_span(probe, Span::WormnetDrain, || self.net.drain_completions_into(&mut completions));
         if completions.is_empty() {
             self.completion_buf = completions;
             return false;
         }
         let mut done: Vec<u64> = Vec::new();
         for c in completions.drain(..) {
+            probe.event(Event::Delivered(&c));
             let (job_id, rank) = decode_tag(c.tag);
             let js = self
                 .jobs
@@ -759,8 +776,10 @@ impl Simulator {
             if let Some(dst) = next_dst(&js.dsts, &mut js.cursors[rank]) {
                 // procsim-lint: allow(D004): invariant: a job with packets in flight was started, so alloc is Some
                 let src = js.alloc.as_ref().expect("invariant: send for unallocated job").nodes()[rank];
-                self.net
-                    .send(src, dst, self.cfg.plen, encode_tag(job_id, rank), self.now);
+                let tag = encode_tag(job_id, rank);
+                in_span(probe, Span::WormnetSend, || {
+                    self.net.send(src, dst, self.cfg.plen, tag, self.now)
+                });
             }
             if js.outstanding == 0 {
                 done.push(job_id);
@@ -769,81 +788,71 @@ impl Simulator {
         self.completion_buf = completions;
         let any = !done.is_empty();
         for id in done {
-            self.depart(id);
+            self.depart(id, probe);
         }
         any
     }
 
     /// Processes all events due at or before the current time. Returns
     /// whether anything was handled.
-    fn drain_due(&mut self) -> bool {
+    fn drain_due<P: Probe>(&mut self, probe: &mut P) -> bool {
         let mut any = false;
-        while let Some((_, ev)) = self.events.pop_due(self.now) {
-            self.handle(ev);
+        while let Some((_, ev)) = in_span(probe, Span::DesimPop, || self.events.pop_due(self.now)) {
+            probe.event(Event::Pop);
+            self.handle(ev, probe);
             any = true;
         }
         any
     }
 
-    /// Runs like [`Simulator::run`] but also returns the mean hop count
-    /// over every delivered packet — a placement-quality diagnostic (the
-    /// distance argument of the paper's §6).
-    pub fn run_with_netstats(self) -> (RunMetrics, f64) {
-        let mut sim = self;
-        let metrics = sim.run_inner();
-        let c = sim.net.counters();
-        let hops = if c.delivered == 0 {
-            0.0
-        } else {
-            c.total_hops as f64 / c.delivered as f64
-        };
-        (metrics, hops)
-    }
-
     /// Runs the replication to completion and returns its metrics.
-    pub fn run(mut self) -> RunMetrics {
-        self.run_inner()
+    pub fn run(self) -> RunMetrics {
+        self.run_with(NoProbe).0
     }
 
-    /// Runs to completion recording every start decision (job, time,
-    /// shape, placement size/fragments) alongside the metrics. The log
-    /// is the memoized pass's observable behaviour: two runs that agree
-    /// on it and on the metrics made identical scheduling decisions.
-    #[cfg(test)]
-    pub(crate) fn run_recorded(mut self) -> (RunMetrics, Vec<StartDecision>) {
-        self.start_log = Some(Vec::new());
-        let metrics = self.run_inner();
-        (metrics, self.start_log.take().unwrap_or_default())
+    /// Runs the replication to completion under `probe`, which sees every
+    /// layer call ([`Span`]) and every decision ([`Event`]) of the loop,
+    /// and returns the metrics with the probe. A probe only observes:
+    /// the metrics equal [`Simulator::run`]'s bit for bit.
+    pub fn run_with<P: Probe>(mut self, mut probe: P) -> (RunMetrics, P) {
+        let metrics = self.run_inner(&mut probe);
+        (metrics, probe)
     }
 
-    /// Like [`Simulator::run_recorded`] but drives every pass through
-    /// the pre-memoization `schedule_pass_reference` — the oracle side
-    /// of the differential battery.
+    /// Drive every pass through the pre-memoization
+    /// `schedule_pass_reference` — the oracle side of the differential
+    /// battery.
     #[cfg(test)]
-    pub(crate) fn run_reference_recorded(mut self) -> (RunMetrics, Vec<StartDecision>) {
+    pub(crate) fn with_reference_pass(mut self) -> Self {
         self.reference_pass = true;
-        self.start_log = Some(Vec::new());
-        let metrics = self.run_inner();
-        (metrics, self.start_log.take().unwrap_or_default())
+        self
     }
 
-    fn run_inner(&mut self) -> RunMetrics {
-        self.schedule_next_arrival();
+    fn run_inner<P: Probe>(&mut self, probe: &mut P) -> RunMetrics {
+        probe.begin(Span::CoreRep);
+        self.source = Some(in_span(probe, Span::WorkloadCursorOpen, || {
+            open_source(&self.cfg, self.rep, &mut self.wl_rng)
+        }));
+        self.schedule_next_arrival(probe);
         let target = self.cfg.warmup_jobs + self.cfg.measured_jobs;
         while self.completed < target {
             if self.net.is_idle() {
                 // jump straight to the next job-level event
-                match self.events.pop() {
+                match in_span(probe, Span::DesimPop, || self.events.pop()) {
                     Some((t, ev)) => {
+                        probe.event(Event::Pop);
+                        probe.event(Event::IdleJump);
                         debug_assert!(t >= self.now);
                         self.now = t;
-                        self.handle(ev);
-                        self.drain_due();
-                        self.schedule_pass();
+                        self.handle(ev, probe);
+                        self.drain_due(probe);
+                        self.schedule_pass(probe);
                     }
                     None => break, // job source exhausted
                 }
-            } else if let leap @ 1.. = self.net.skippable_cycles() {
+            } else if let leap @ 1.. =
+                in_span(probe, Span::WormnetSkippable, || self.net.skippable_cycles())
+            {
                 // Event-compressed advancement: the network has proven
                 // that the next `leap` cycles are inert (every worm is in
                 // routing delay or blocked on a channel that cannot be
@@ -859,24 +868,26 @@ impl Simulator {
                 if let Some(te) = self.events.peek_time() {
                     stop = stop.min(te);
                 }
-                self.net.skip_cycles(stop - self.now);
+                let cycles = stop - self.now;
+                in_span(probe, Span::WormnetSkippable, || self.net.skip_cycles(cycles));
+                probe.event(Event::Leap(cycles));
                 self.now = stop;
-                if self.drain_due() {
-                    self.schedule_pass();
+                if self.drain_due(probe) {
+                    self.schedule_pass(probe);
                 }
             } else {
                 self.now += 1;
-                self.net.step(self.now);
-                let departed = self.absorb_network_completions();
-                let evented = self.drain_due();
+                in_span(probe, Span::WormnetStep, || self.net.step(self.now));
+                let departed = self.absorb_network_completions(probe);
+                let evented = self.drain_due(probe);
                 if departed || evented {
-                    self.schedule_pass();
+                    self.schedule_pass(probe);
                 }
             }
         }
 
         let measured = self.completed.saturating_sub(self.cfg.warmup_jobs) as u64;
-        RunMetrics {
+        let metrics = RunMetrics {
             jobs: measured,
             mean_turnaround: self.turn.mean(),
             mean_service: self.serv.mean(),
@@ -896,7 +907,9 @@ impl Simulator {
             packets: self.pkt_count,
             end_time: self.now,
             turnaround_stats: self.turn,
-        }
+        };
+        probe.end(Span::CoreRep);
+        metrics
     }
 }
 
@@ -1122,6 +1135,95 @@ mod tests {
         cfg.mesh_w = 2048;
         cfg.mesh_l = 1024;
         let _ = Simulator::new(&cfg, 0);
+    }
+
+    /// Records every span and event of a run, checking as it goes that
+    /// spans nest.
+    #[derive(Default)]
+    struct Recorder {
+        open: Vec<Span>,
+        /// Spans closed, by `Span as usize`.
+        spans: [u64; 17],
+        /// Events, by [`event_kind`].
+        events: [u64; 12],
+        hops: u64,
+    }
+
+    /// An index per `Event` variant, and per `RejectCause` within `Reject`.
+    fn event_kind(e: &Event<'_>) -> usize {
+        match e {
+            Event::Attempt => 0,
+            Event::Leap(_) => 1,
+            Event::IdleJump => 2,
+            Event::Pop => 3,
+            Event::JobDrawn => 4,
+            Event::Arrive(_) => 5,
+            Event::Reject(_, RejectCause::Memo) => 6,
+            Event::Reject(_, RejectCause::Feasible) => 7,
+            Event::Reject(_, RejectCause::Search) => 8,
+            Event::Start { .. } => 9,
+            Event::Depart(_) => 10,
+            Event::Delivered(_) => 11,
+        }
+    }
+
+    impl Probe for Recorder {
+        fn begin(&mut self, span: Span) {
+            self.open.push(span);
+        }
+
+        fn end(&mut self, span: Span) {
+            assert_eq!(self.open.pop(), Some(span), "spans must nest");
+            self.spans[span as usize] += 1;
+        }
+
+        fn event(&mut self, event: Event<'_>) {
+            if let Event::Delivered(c) = event {
+                self.hops += u64::from(c.hops);
+            }
+            self.events[event_kind(&event)] += 1;
+        }
+    }
+
+    /// A probe sees the whole run and changes none of it: on every cell
+    /// of the scheduling-pass differential matrix, a recording probe
+    /// leaves the metrics bit-identical to `run()`, and what it records
+    /// agrees with counts kept apart from the probe hooks.
+    #[test]
+    fn probes_never_change_results() {
+        let mut spans = [0u64; 17];
+        let mut events = [0u64; 12];
+        for (tag, c) in crate::sched_differential::full_matrix() {
+            let plain = Simulator::new(&c, 0).run();
+            let mut sim = Simulator::new(&c, 0);
+            let mut rec = Recorder::default();
+            let m = sim.run_inner(&mut rec);
+            crate::sched_differential::assert_same_metrics(&m, &plain, &tag);
+            assert!(rec.open.is_empty(), "{tag}: spans left open");
+            let e = rec.events;
+            let net = sim.net.counters();
+            assert_eq!(e[11], net.delivered, "{tag}: deliveries");
+            assert_eq!(rec.hops, net.total_hops, "{tag}: hops");
+            let running = sim.jobs.values().filter(|js| js.start != Time::MAX).count() as u64;
+            let won = rec.spans[Span::AllocAllocate as usize] - e[8];
+            assert_eq!(won, e[9], "{tag}: allocations won vs starts");
+            assert_eq!(e[9], e[10] + running, "{tag}: starts vs departures + running");
+            assert_eq!(e[10], (c.warmup_jobs as u64) + m.jobs, "{tag}: departures");
+            assert_eq!(
+                e[6] + e[7] + rec.spans[Span::AllocAllocate as usize],
+                e[0],
+                "{tag}: memo hits + feasible rejects + allocate calls vs attempts"
+            );
+            for (total, n) in spans.iter_mut().zip(rec.spans) {
+                *total += n;
+            }
+            for (total, n) in events.iter_mut().zip(e) {
+                *total += n;
+            }
+        }
+        // every span and every event fires somewhere in the matrix
+        assert!(spans.iter().all(|&n| n > 0), "spans never fired: {spans:?}");
+        assert!(events.iter().all(|&n| n > 0), "events never fired: {events:?}");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! expected mesh-vs-torus physics holds under paired seeds.
 
 use procsim_core::{
-    run_points, Simulator, SimConfig, StrategyKind, TopologyKind, WorkerPool, WorkloadSpec,
+    run_points, MeanHops, PageIndexing, Simulator, SimConfig, StrategyKind, TopologyKind,
+    WorkerPool, WorkloadSpec,
 };
 use mesh_sched::SchedulerKind;
 use simstats::StopReason;
@@ -94,15 +95,47 @@ fn torus_shortens_routes_under_paired_seeds() {
     for strategy in StrategyKind::PAPER {
         let seed = 0x70125;
         let load = 0.01; // enough concurrency that allocations disperse
-        let (_, mesh_hops) =
-            Simulator::new(&cfg(TopologyKind::Mesh, strategy, load, seed), 0).run_with_netstats();
-        let (_, torus_hops) =
-            Simulator::new(&cfg(TopologyKind::Torus, strategy, load, seed), 0).run_with_netstats();
+        let hops = |t| {
+            let (_, hops) =
+                Simulator::new(&cfg(t, strategy, load, seed), 0).run_with(MeanHops::default());
+            hops.mean()
+        };
+        let (mesh_hops, torus_hops) = (hops(TopologyKind::Mesh), hops(TopologyKind::Torus));
         assert!(
             torus_hops <= mesh_hops,
             "{strategy}: torus mean hops {torus_hops} > mesh {mesh_hops}"
         );
         assert!(torus_hops > 0.0);
+    }
+}
+
+/// The `MeanHops` probe reproduces, to the bit, the mean hop counts the
+/// simulator's retired built-in hop diagnostic (network counters
+/// `total_hops / delivered`, read after the run) gave on the
+/// configuration above.
+#[test]
+fn mean_hops_matches_the_network_counters_it_replaced() {
+    let paging = StrategyKind::Paging {
+        size_index: 0,
+        indexing: PageIndexing::RowMajor,
+    };
+    let pins = [
+        (StrategyKind::Gabl, TopologyKind::Mesh, 0x4020_d145_22c6_c318_u64),
+        (StrategyKind::Gabl, TopologyKind::Torus, 0x401c_95c7_ca67_5b35),
+        (paging, TopologyKind::Mesh, 0x401f_47f8_a93d_5a27),
+        (paging, TopologyKind::Torus, 0x4019_e433_7bc9_d907),
+        (StrategyKind::Mbs, TopologyKind::Mesh, 0x4023_0c74_3309_ec99),
+        (StrategyKind::Mbs, TopologyKind::Torus, 0x401d_99c1_73d6_8628),
+    ];
+    for (strategy, topology, bits) in pins {
+        let c = cfg(topology, strategy, 0.01, 0x70125);
+        let (_, hops) = Simulator::new(&c, 0).run_with(MeanHops::default());
+        assert_eq!(
+            hops.mean().to_bits(),
+            bits,
+            "{strategy}/{topology:?}: mean hops {} moved",
+            hops.mean()
+        );
     }
 }
 

@@ -137,8 +137,8 @@ impl SchedulerKind {
     /// Instantiates the policy.
     pub fn build(&self) -> Box<dyn Scheduler> {
         match *self {
-            SchedulerKind::Fcfs => Box::new(Fcfs::new()),
-            SchedulerKind::Ssd => Box::new(Ssd::new()),
+            SchedulerKind::Fcfs => Box::new(FcfsWindow::new(1)),
+            SchedulerKind::Ssd => Box::new(ByKey::new(|j| (j.service_demand, j.arrive))),
             SchedulerKind::SjfArea => Box::new(ByKey::new(|j| (j.area() as f64, j.arrive))),
             SchedulerKind::LjfArea => Box::new(ByKey::new(|j| (-(j.area() as f64), j.arrive))),
             SchedulerKind::FcfsWindow(w) => Box::new(FcfsWindow::new(w)),
@@ -183,83 +183,17 @@ impl core::fmt::Display for SchedulerKind {
     }
 }
 
-/// First-Come-First-Served.
-#[derive(Debug, Default)]
-pub struct Fcfs {
-    q: VecDeque<QueuedJob>,
-}
-
-impl Fcfs {
-    /// An empty FCFS queue.
-    pub fn new() -> Self {
-        Fcfs::default()
-    }
-}
-
-impl Scheduler for Fcfs {
-    fn enqueue(&mut self, job: QueuedJob) {
-        self.q.push_back(job);
-    }
-
-    fn attempt_order_into(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend(self.q.front().map(|j| j.job_id));
-    }
-
-    fn remove(&mut self, job_id: u64) -> Option<QueuedJob> {
-        let pos = self.q.iter().position(|j| j.job_id == job_id)?;
-        self.q.remove(pos)
-    }
-}
-
-/// Shortest-Service-Demand. Ties broken by arrival time then id, so the
-/// order is total and deterministic.
-#[derive(Debug, Default)]
-pub struct Ssd {
+/// Priority policy over a key function (SSD, SJF, LJF): offers the job
+/// with the smallest key, ties broken by the key's time, then by id, so
+/// the order is total and deterministic.
+pub struct ByKey<K> {
+    key: K,
     jobs: Vec<QueuedJob>,
 }
 
-impl Ssd {
-    /// An empty SSD queue.
-    pub fn new() -> Self {
-        Ssd::default()
-    }
-
-    fn front(&self) -> Option<&QueuedJob> {
-        self.jobs.iter().min_by(|x, y| {
-            x.service_demand
-                .total_cmp(&y.service_demand)
-                .then(x.arrive.cmp(&y.arrive))
-                .then(x.job_id.cmp(&y.job_id))
-        })
-    }
-}
-
-impl Scheduler for Ssd {
-    fn enqueue(&mut self, job: QueuedJob) {
-        self.jobs.push(job);
-    }
-
-    fn attempt_order_into(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend(self.front().map(|j| j.job_id));
-    }
-
-    fn remove(&mut self, job_id: u64) -> Option<QueuedJob> {
-        let pos = self.jobs.iter().position(|j| j.job_id == job_id)?;
-        Some(self.jobs.swap_remove(pos))
-    }
-}
-
-/// Generic priority policy over a key function (used for SJF/LJF).
-pub struct ByKey {
-    key: fn(&QueuedJob) -> (f64, Time),
-    jobs: Vec<QueuedJob>,
-}
-
-impl ByKey {
+impl<K: Fn(&QueuedJob) -> (f64, Time)> ByKey<K> {
     /// A queue ordered by `key` (ascending).
-    pub fn new(key: fn(&QueuedJob) -> (f64, Time)) -> Self {
+    pub fn new(key: K) -> Self {
         ByKey {
             key,
             jobs: Vec::new(),
@@ -267,7 +201,7 @@ impl ByKey {
     }
 }
 
-impl Scheduler for ByKey {
+impl<K: Fn(&QueuedJob) -> (f64, Time)> Scheduler for ByKey<K> {
     fn enqueue(&mut self, job: QueuedJob) {
         self.jobs.push(job);
     }
@@ -296,7 +230,7 @@ impl Scheduler for ByKey {
 
 /// FCFS with a bounded bypass window: each pass may attempt the first
 /// `window` queued jobs in arrival order (a reservation-free backfill).
-/// `FcfsWindow(1)` is exactly FCFS.
+/// `FcfsWindow(1)` is FCFS.
 #[derive(Debug)]
 pub struct FcfsWindow {
     q: VecDeque<QueuedJob>,
@@ -441,7 +375,7 @@ mod tests {
 
     #[test]
     fn fcfs_strict_arrival_order() {
-        let mut s = Fcfs::new();
+        let mut s = SchedulerKind::Fcfs.build();
         s.enqueue(job(1, 10, (2, 2), 9.0));
         s.enqueue(job(2, 20, (1, 1), 1.0));
         assert_eq!(s.attempt_order(), vec![1]);
@@ -453,7 +387,7 @@ mod tests {
 
     #[test]
     fn fcfs_only_offers_head() {
-        let mut s = Fcfs::new();
+        let mut s = SchedulerKind::Fcfs.build();
         s.enqueue(job(1, 0, (16, 22), 100.0)); // huge blocked head
         s.enqueue(job(2, 1, (1, 1), 1.0));
         // FCFS never bypasses: only the head is offered
@@ -462,7 +396,7 @@ mod tests {
 
     #[test]
     fn ssd_orders_by_demand_not_arrival() {
-        let mut s = Ssd::new();
+        let mut s = SchedulerKind::Ssd.build();
         s.enqueue(job(1, 0, (4, 4), 50.0));
         s.enqueue(job(2, 5, (8, 8), 10.0));
         s.enqueue(job(3, 9, (1, 1), 30.0));
@@ -475,7 +409,7 @@ mod tests {
 
     #[test]
     fn ssd_tie_break_by_arrival() {
-        let mut s = Ssd::new();
+        let mut s = SchedulerKind::Ssd.build();
         s.enqueue(job(5, 9, (1, 1), 10.0));
         s.enqueue(job(6, 3, (1, 1), 10.0));
         assert_eq!(s.attempt_order(), vec![6]);
@@ -507,8 +441,8 @@ mod tests {
 
     #[test]
     fn window_one_is_fcfs() {
-        let mut w = FcfsWindow::new(1);
-        let mut f = Fcfs::new();
+        let mut w = SchedulerKind::FcfsWindow(1).build();
+        let mut f = SchedulerKind::Fcfs.build();
         for i in 0..4 {
             let j = job(i, i, (2, 2), 1.0);
             w.enqueue(j);
@@ -519,7 +453,7 @@ mod tests {
 
     #[test]
     fn remove_missing_returns_none() {
-        let mut s = Fcfs::new();
+        let mut s = SchedulerKind::Fcfs.build();
         assert!(s.remove(42).is_none());
         s.enqueue(job(1, 0, (1, 1), 1.0));
         assert!(s.remove(42).is_none());

@@ -3,7 +3,8 @@
 //! reproduction; kept as a worked example of instrumenting the simulator.
 
 use procsim::{
-    PageIndexing, SchedulerKind, SideDist, SimConfig, Simulator, StrategyKind, WorkloadSpec,
+    MeanHops, PageIndexing, SchedulerKind, SideDist, SimConfig, Simulator, StrategyKind,
+    WorkloadSpec,
 };
 
 fn main() {
@@ -30,17 +31,17 @@ fn main() {
             );
             cfg.warmup_jobs = 100;
             cfg.measured_jobs = 400;
-            let m = Simulator::new(&cfg, 0).run_with_netstats();
+            let (m, hops) = Simulator::new(&cfg, 0).run_with(MeanHops::default());
             println!(
                 "  {:<12} turn {:>9.1} serv {:>7.1} lat {:>6.1} blk {:>6.1} hops {:>5.2} frags {:>5.1} util {:>5.3}",
                 format!("{strat}"),
-                m.0.mean_turnaround,
-                m.0.mean_service,
-                m.0.mean_packet_latency,
-                m.0.mean_packet_blocking,
-                m.1,
-                m.0.mean_fragments,
-                m.0.utilization,
+                m.mean_turnaround,
+                m.mean_service,
+                m.mean_packet_latency,
+                m.mean_packet_blocking,
+                hops.mean(),
+                m.mean_fragments,
+                m.utilization,
             );
         }
     }

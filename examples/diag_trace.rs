@@ -3,7 +3,8 @@
 //! paper's GABL advantage is largest.
 
 use procsim::{
-    PageIndexing, ParagonModel, SchedulerKind, SimConfig, Simulator, StrategyKind, WorkloadSpec,
+    MeanHops, PageIndexing, ParagonModel, SchedulerKind, SimConfig, Simulator, StrategyKind,
+    WorkloadSpec,
 };
 
 fn main() {
@@ -29,7 +30,7 @@ fn main() {
             );
             cfg.warmup_jobs = 150;
             cfg.measured_jobs = 500;
-            let (m, hops) = Simulator::new(&cfg, 0).run_with_netstats();
+            let (m, hops) = Simulator::new(&cfg, 0).run_with(MeanHops::default());
             println!(
                 "  {:<12} turn {:>9.1} serv {:>7.1} lat {:>6.1} blk {:>6.1} hops {:>5.2} frags {:>5.1} util {:>5.3}",
                 format!("{strat}"),
@@ -37,7 +38,7 @@ fn main() {
                 m.mean_service,
                 m.mean_packet_latency,
                 m.mean_packet_blocking,
-                hops,
+                hops.mean(),
                 m.mean_fragments,
                 m.utilization,
             );

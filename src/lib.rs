@@ -49,7 +49,7 @@ pub use mesh_alloc::{
     Allocation, AllocationStrategy, BestFit, FirstFit, Gabl, Mbs, Mc, Paging, RandomNc,
     StrategyKind,
 };
-pub use mesh_sched::{Fcfs, QueuedJob, Scheduler, SchedulerKind, Ssd};
+pub use mesh_sched::{QueuedJob, Scheduler, SchedulerKind};
 
 // --- workloads and statistics ---------------------------------------------
 pub use simstats::{student_t_95, Histogram, Replications, StopReason, TimeWeighted, Welford};
@@ -63,8 +63,9 @@ pub use workload::{
 // --- the integrated simulator ----------------------------------------------
 pub use procsim_core::{
     cached_count, derive_seed, expand, pool, run_campaign, run_point_seq, run_points,
-    CampaignError, CampaignOptions, CampaignOutcome, CampaignPoint, PointResult, PointSettings,
-    RunMetrics, Scenario, ScenarioError, SimConfig, Simulator, WorkerPool, WorkloadSpec,
+    CampaignError, CampaignOptions, CampaignOutcome, CampaignPoint, Event, MeanHops, NoProbe,
+    PointResult, PointSettings, Probe, RejectCause, RunMetrics, Scenario, ScenarioError,
+    SimConfig, Simulator, Span, WorkerPool, WorkloadSpec,
 };
 
 /// The mesh dimensions used throughout the paper (the 352-node SDSC

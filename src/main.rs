@@ -460,6 +460,12 @@ fn run_gen_trace(a: &Args) {
         .first()
         .unwrap_or_else(|| die("gen-trace needs an output .swf path"));
     let model = a.map.get("model").map(|s| s.as_str()).unwrap_or("paragon");
+    // checked before the output file is created, so a bad model leaves it intact
+    let paragon = match model {
+        "paragon" => true,
+        "cm5" => false,
+        other => die(&format!("unknown model '{other}' (paragon or cm5)")),
+    };
     // a trace needs at least one inter-arrival time
     let jobs = a.count("jobs", 600, 2);
     let seed: u64 = a.num("seed", 2008);
@@ -478,12 +484,10 @@ fn run_gen_trace(a: &Args) {
             "; procsim synthetic SWF fixture (public domain: generated data, no production-log content)\n\
              ; regenerate with: procsim gen-trace {out} --model {model} --jobs {jobs} --seed {seed}\n"
         )?;
-        let n = match model {
-            "paragon" => {
-                write_swf_to(&mut w, ParagonModel { jobs, ..Default::default() }.stream(&mut rng))?
-            }
-            "cm5" => write_swf_to(&mut w, Cm5Model { jobs, ..Default::default() }.stream(&mut rng))?,
-            other => die(&format!("unknown model '{other}' (paragon or cm5)")),
+        let n = if paragon {
+            write_swf_to(&mut w, ParagonModel { jobs, ..Default::default() }.stream(&mut rng))?
+        } else {
+            write_swf_to(&mut w, Cm5Model { jobs, ..Default::default() }.stream(&mut rng))?
         };
         w.flush()?;
         Ok(n)

@@ -102,6 +102,19 @@ fn gen_trace_rejects_fewer_than_two_jobs_before_writing() {
 }
 
 #[test]
+fn gen_trace_rejects_an_unknown_model_without_touching_the_file() {
+    let out = fresh_path("keep.swf");
+    std::fs::write(&out, "; kept\n").expect("scratch file written");
+    let res = procsim(&["gen-trace", &out, "--model", "foo"]);
+    let stderr = String::from_utf8_lossy(&res.stderr);
+    assert_eq!(res.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown model 'foo'"), "{stderr}");
+    let kept = std::fs::read_to_string(&out).expect("file still there");
+    assert_eq!(kept, "; kept\n", "the output file was overwritten");
+    let _ = std::fs::remove_file(&out);
+}
+
+#[test]
 fn trace_rejects_zero_jobs() {
     // nothing would be measured: every metric in the CSV would be 0
     let csv = fresh_path("zero_jobs.csv");
