@@ -20,7 +20,11 @@ pub enum WorkloadSpec {
     },
     /// The synthetic SDSC Paragon trace at a given system load; the
     /// arrival-scaling factor `f` is derived as `1 / (mean_ia · load)`.
-    /// Each replication draws a fresh trace from the model.
+    /// Each replication draws a fresh trace from the model, one record
+    /// per arrival: `min(1.5 × budget + 100, max(model.jobs, budget +
+    /// 50))` records, where the budget is `warmup_jobs + measured_jobs`,
+    /// replayed in one pass from the model's time 0 and never held in
+    /// memory.
     SyntheticTrace {
         /// Statistical model of the SDSC Paragon trace to draw from.
         model: ParagonModel,
@@ -33,9 +37,9 @@ pub enum WorkloadSpec {
         runtime_scale: f64,
     },
     /// The synthetic LANL CM-5 trace (every job size a power of two) at a
-    /// given system load, drawn and scaled per replication exactly like
-    /// [`WorkloadSpec::SyntheticTrace`] — the paper's §6 future work on
-    /// traces from other machines.
+    /// given system load, drawn lazily and scaled per replication exactly
+    /// like [`WorkloadSpec::SyntheticTrace`] — the paper's §6 future work
+    /// on traces from other machines.
     SyntheticCm5 {
         /// Statistical model of the CM-5 trace to draw from.
         model: Cm5Model,
@@ -44,7 +48,8 @@ pub enum WorkloadSpec {
         /// Seconds of trace runtime per message.
         runtime_scale: f64,
     },
-    /// A fixed externally supplied job stream (e.g. parsed from SWF).
+    /// A fixed externally supplied job stream (e.g. parsed from SWF),
+    /// rebased so each replication's segment starts at time 0.
     /// Replication `r` replays the stream starting at job offset
     /// `r × (warmup_jobs + measured_jobs)` (mod stream length) so
     /// independent replications see disjoint segments; when the stream is

@@ -9,8 +9,10 @@ use mesh_alloc::{Allocation, AllocationStrategy};
 use mesh_sched::{QueuedJob, RunningJob, Scheduler};
 use simstats::{TimeWeighted, Welford};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
-use workload::{trace_to_jobs, Cm5Model, JobSpec, ParagonModel, StochasticGen};
+use workload::{
+    factor_for_load, scale_trace_record, Cm5Model, JobSpec, ParagonModel, StochasticGen,
+    TraceRecord,
+};
 use wormnet::{pattern_ranks, Completion, Network, Topology, TopologyKind};
 
 /// Job-level events.
@@ -87,53 +89,17 @@ fn segment_start(len: usize, rep: u64, needed: usize) -> usize {
     (rep as usize).wrapping_mul(stride) % len
 }
 
-/// Where the next arrival comes from.
-enum Source {
-    Stochastic {
-        gen: StochasticGen,
-        clock: Time,
-        next_id: u64,
-    },
-    /// Segment replay of a trace (`FixedTrace`, the synthetic traces,
-    /// and streaming `Trace`).
-    Trace(TraceReplay),
-}
-
-/// The job stream a [`TraceReplay`] draws from: endless (it wraps), and
-/// every job's `id` is its record index.
-enum TraceJobs {
-    /// A materialized, pre-scaled job list (`FixedTrace` and the
-    /// synthetic traces). Also the retained equivalence oracle for
-    /// [`TraceJobs::Stream`]: `crates/core/tests/streaming_trace.rs` pins
-    /// the two to bit-identical metrics.
-    Fixed { jobs: Arc<Vec<JobSpec>>, pos: usize },
-    /// Streaming replay of a [`workload::TraceWorkload`]
-    /// (`WorkloadSpec::Trace`): records are parsed and scaled lazily,
-    /// one per arrival, so memory holds only the cursor and the live
-    /// jobs — never the trace.
-    Stream(workload::ScaledJobs),
-}
-
-impl TraceJobs {
-    fn next(&mut self) -> Option<JobSpec> {
-        match self {
-            TraceJobs::Fixed { jobs, pos } => {
-                let mut job = jobs[*pos];
-                job.id = *pos as u64;
-                *pos = (*pos + 1) % jobs.len();
-                Some(job)
-            }
-            TraceJobs::Stream(jobs) => jobs.next(),
-        }
-    }
-}
+/// A replication's job source: its jobs in arrival order (the simulator
+/// clamps an arrival that falls behind the clock to the clock).
+type JobSource = Box<dyn Iterator<Item = JobSpec> + Send>;
 
 /// One replication's pass over a trace: at most one full wrap of the
-/// stream, with arrivals rebased so the segment starts at time 0.
-struct TraceReplay {
-    jobs: TraceJobs,
+/// job stream (whose `id`s are record indexes), with arrivals rebased
+/// so the segment starts at time 0.
+struct TraceReplay<I> {
+    jobs: std::iter::Take<I>,
     /// Record index of the last record (wrap detection: the stream
-    /// itself is endless).
+    /// itself may be endless).
     last_id: u64,
     /// Arrival-time rebase (subtracted), captured from the first job the
     /// stream yields at the start of the segment and after each wrap.
@@ -142,70 +108,56 @@ struct TraceReplay {
     /// prefix continues seamlessly after the tail with its original
     /// inter-arrival gaps instead of flooding in at the current clock.
     shift: Time,
-    /// Jobs left in this replication's pass.
-    remaining: usize,
 }
 
-impl TraceReplay {
-    fn new(jobs: TraceJobs, len: usize, base: Option<Time>) -> Self {
+impl<I: Iterator<Item = JobSpec>> TraceReplay<I> {
+    /// Replays `len` jobs of `jobs`, a trace of `len` records.
+    fn new(jobs: I, len: usize, base: Option<Time>) -> Self {
         TraceReplay {
-            jobs,
+            jobs: jobs.take(len),
             last_id: (len - 1) as u64,
             base,
             shift: 0,
-            remaining: len,
         }
     }
+}
 
-    /// The next job of the segment, arriving no earlier than `now`.
-    fn next(&mut self, now: Time) -> Option<JobSpec> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
+impl<I: Iterator<Item = JobSpec>> Iterator for TraceReplay<I> {
+    type Item = JobSpec;
+
+    fn next(&mut self) -> Option<JobSpec> {
         let mut job = self.jobs.next()?;
         // rebase the segment to start at 0 (saturating: guards against
         // an unsorted stream)
         let b = *self.base.get_or_insert(job.arrive);
-        let rebased = job.arrive.saturating_sub(b) + self.shift;
+        job.arrive = job.arrive.saturating_sub(b) + self.shift;
         if job.id == self.last_id {
             // wrap-around next: the prefix continues right after the
             // tail, preserving its original inter-arrival gaps (rebased
             // to the tail time, not the current clock, so no burst of
             // "past" arrivals floods the queue)
             self.base = None;
-            self.shift = rebased + 1;
+            self.shift = job.arrive + 1;
         }
-        job.arrive = now.max(rebased);
         Some(job)
     }
 }
 
-/// A fresh synthetic-trace draw for one replication: `generate(n)` draws
-/// `n` records, only as many as a run can consume (plus slack for queue
-/// growth) out of the model's `model_jobs`, scaled to `load` jobs per
-/// time unit.
-fn synthetic_source(
+/// A synthetic trace of `n` records, drawn one per arrival and scaled
+/// by the arrival factor `f`: the draws a run can consume (plus slack
+/// for queue growth), never held in memory.
+fn draw_trace(
     cfg: &SimConfig,
-    model_jobs: usize,
-    mean_interarrival_s: f64,
-    load: f64,
+    records: impl Iterator<Item = TraceRecord> + Send + 'static,
+    n: usize,
+    f: f64,
     runtime_scale: f64,
-    generate: impl FnOnce(usize) -> Vec<workload::TraceRecord>,
-) -> Source {
-    let needed = cfg.warmup_jobs + cfg.measured_jobs;
-    let records = generate((needed * 3 / 2 + 100).min(model_jobs.max(needed + 50)));
-    let f = workload::paragon::factor_for_load(mean_interarrival_s, load);
-    let jobs = trace_to_jobs(&records, cfg.mesh_w, cfg.mesh_l, f, runtime_scale);
-    let len = jobs.len();
-    Source::Trace(TraceReplay::new(
-        TraceJobs::Fixed {
-            jobs: Arc::new(jobs),
-            pos: 0,
-        },
-        len,
-        Some(0),
-    ))
+) -> JobSource {
+    let (w, l) = (cfg.mesh_w, cfg.mesh_l);
+    let jobs = records
+        .enumerate()
+        .map(move |(i, r)| scale_trace_record(&r, i as u64, w, l, f, runtime_scale));
+    Box::new(TraceReplay::new(jobs, n, Some(0)))
 }
 
 /// Runs `f` inside `span`.
@@ -218,56 +170,56 @@ fn in_span<P: Probe, R>(probe: &mut P, span: Span, f: impl FnOnce() -> R) -> R {
 }
 
 /// Opens replication `rep`'s job source.
-fn open_source(cfg: &SimConfig, rep: u64, wl_rng: &mut SimRng) -> Source {
+fn open_source(cfg: &SimConfig, rep: u64) -> JobSource {
+    // the replication's first substream is the workload's (see Simulator::new)
+    let mut wl_rng = SimRng::new(crate::replicate::derive_seed(cfg.seed, rep)).substream(1);
     let needed = cfg.warmup_jobs + cfg.measured_jobs;
+    let draws = |model_jobs: usize| (needed * 3 / 2 + 100).min(model_jobs.max(needed + 50));
     match &cfg.workload {
         WorkloadSpec::Stochastic {
             sides,
             load,
             num_mes,
-        } => Source::Stochastic {
-            gen: StochasticGen {
+        } => {
+            let gen = StochasticGen {
                 mesh_w: cfg.mesh_w,
                 mesh_l: cfg.mesh_l,
                 sides: *sides,
                 load: *load,
                 num_mes_mean: *num_mes,
-            },
-            clock: 0,
-            next_id: 0,
-        },
+            };
+            let mut clock = 0;
+            Box::new((0..).map(move |id| gen.next_job(id, &mut clock, &mut wl_rng)))
+        }
         WorkloadSpec::SyntheticTrace {
             model,
             load,
             runtime_scale,
-        } => synthetic_source(
-            cfg,
-            model.jobs,
-            model.mean_interarrival_s,
-            *load,
-            *runtime_scale,
-            |jobs| ParagonModel { jobs, ..model.clone() }.generate(&mut wl_rng.substream(99)),
-        ),
+        } => {
+            let n = draws(model.jobs);
+            let records = ParagonModel { jobs: n, ..model.clone() }.stream(wl_rng.substream(99));
+            let f = factor_for_load(model.mean_interarrival_s, *load);
+            draw_trace(cfg, records, n, f, *runtime_scale)
+        }
         WorkloadSpec::SyntheticCm5 {
             model,
             load,
             runtime_scale,
-        } => synthetic_source(
-            cfg,
-            model.jobs,
-            model.mean_interarrival_s,
-            *load,
-            *runtime_scale,
-            |jobs| Cm5Model { jobs, ..model.clone() }.generate(&mut wl_rng.substream(99)),
-        ),
+        } => {
+            let n = draws(model.jobs);
+            let records = Cm5Model { jobs: n, ..model.clone() }.stream(wl_rng.substream(99));
+            let f = factor_for_load(model.mean_interarrival_s, *load);
+            draw_trace(cfg, records, n, f, *runtime_scale)
+        }
         WorkloadSpec::FixedTrace(jobs) => {
             assert!(!jobs.is_empty(), "empty fixed trace");
-            let pos = segment_start(jobs.len(), rep, needed);
-            let fixed = TraceJobs::Fixed {
-                jobs: jobs.clone(),
-                pos,
-            };
-            Source::Trace(TraceReplay::new(fixed, jobs.len(), None))
+            let len = jobs.len();
+            let pos = segment_start(len, rep, needed);
+            let jobs = jobs.clone();
+            let segment = (pos..len)
+                .chain(0..pos)
+                .map(move |i| JobSpec { id: i as u64, ..jobs[i] });
+            Box::new(TraceReplay::new(segment, len, None))
         }
         WorkloadSpec::Trace {
             trace,
@@ -282,7 +234,7 @@ fn open_source(cfg: &SimConfig, rep: u64, wl_rng: &mut SimRng) -> Source {
             let len = trace.len();
             let pos = segment_start(len, rep, needed);
             let stream = trace.stream_jobs(cfg.mesh_w, cfg.mesh_l, *load, *runtime_scale, pos);
-            Source::Trace(TraceReplay::new(TraceJobs::Stream(stream), len, None))
+            Box::new(TraceReplay::new(stream, len, None))
         }
     }
 }
@@ -298,12 +250,11 @@ pub struct Simulator {
     net: Network,
     events: EventQueue<Ev>,
     now: Time,
-    wl_rng: SimRng,
     pat_rng: SimRng,
     rep: u64,
     /// The job source, opened when the run starts (inside its
     /// [`Span::WorkloadCursorOpen`]).
-    source: Option<Source>,
+    source: Option<JobSource>,
     /// Live job states keyed by internal id. A BTreeMap, not a HashMap:
     /// `schedule_pass` iterates this map to build the running-job
     /// snapshot for reservation-aware schedulers, and EASY's
@@ -380,7 +331,7 @@ impl Simulator {
             cfg.mesh_l
         );
         let mut rep_rng = SimRng::new(crate::replicate::derive_seed(cfg.seed, rep));
-        let wl_rng = rep_rng.substream(1);
+        rep_rng.substream(1); // the workload's: `open_source` draws it when the run starts
         let pat_rng = rep_rng.substream(2);
         let strat_seed = rep_rng.substream(3).raw();
 
@@ -402,7 +353,6 @@ impl Simulator {
             net,
             events: EventQueue::new(),
             now: 0,
-            wl_rng,
             pat_rng,
             rep,
             source: None,
@@ -431,28 +381,15 @@ impl Simulator {
 
     /// Schedules the next arrival from the job source, if any.
     fn schedule_next_arrival<P: Probe>(&mut self, probe: &mut P) {
-        let now = self.now;
-        let job = match &mut self.source {
-            Some(Source::Stochastic {
-                gen,
-                clock,
-                next_id,
-            }) => {
-                let job = in_span(probe, Span::WorkloadNextJob, || {
-                    gen.next_job(*next_id, clock, &mut self.wl_rng)
-                });
-                *next_id += 1;
-                Some(job)
-            }
-            Some(Source::Trace(replay)) => {
-                in_span(probe, Span::WorkloadNextJob, || replay.next(now))
-            }
-            None => None,
+        let Some(source) = &mut self.source else {
+            return;
         };
-        if let Some(job) = job {
+        if let Some(mut job) = in_span(probe, Span::WorkloadNextJob, || source.next()) {
             probe.event(Event::JobDrawn);
+            // a trace job rebased behind the clock arrives now
+            job.arrive = job.arrive.max(self.now);
             in_span(probe, Span::DesimSchedule, || {
-                self.events.schedule(job.arrive.max(now), Ev::Arrival(job))
+                self.events.schedule(job.arrive, Ev::Arrival(job))
             });
         }
     }
@@ -831,7 +768,7 @@ impl Simulator {
     fn run_inner<P: Probe>(&mut self, probe: &mut P) -> RunMetrics {
         probe.begin(Span::CoreRep);
         self.source = Some(in_span(probe, Span::WorkloadCursorOpen, || {
-            open_source(&self.cfg, self.rep, &mut self.wl_rng)
+            open_source(&self.cfg, self.rep)
         }));
         self.schedule_next_arrival(probe);
         let target = self.cfg.warmup_jobs + self.cfg.measured_jobs;
@@ -918,6 +855,7 @@ mod tests {
     use super::*;
     use mesh_alloc::StrategyKind;
     use mesh_sched::SchedulerKind;
+    use std::sync::Arc;
     use workload::SideDist;
 
     fn quick_cfg(strategy: StrategyKind, scheduler: SchedulerKind, load: f64) -> SimConfig {

@@ -1,7 +1,8 @@
 //! End-to-end equivalence of the streaming trace replay
-//! (`WorkloadSpec::Trace` → `Source::Stream`, lazy cursor, lazy rebase)
-//! against the materialized oracle (`WorkloadSpec::FixedTrace` →
-//! `Source::Fixed`, the pre-refactor replay path): for the same config
+//! (`WorkloadSpec::Trace`: the lazy `ScaledJobs` cursor under the
+//! simulator's segment replay) against the materialized oracle
+//! (`WorkloadSpec::FixedTrace`: the same replay over a job list
+//! pre-scaled by `TraceWorkload::jobs_at_load`): for the same config
 //! and seeds the two must produce **bit-identical** metrics, per
 //! replication, including the segment-offset and wrap-around regimes —
 //! and a file-backed workload from [`TraceWorkload::open`] must match a
@@ -81,8 +82,8 @@ fn streaming_replay_matches_materialized_oracle() {
 fn streaming_replay_matches_oracle_through_wraparound() {
     // a short trace with a budget near its length: every offset
     // replication wraps past the end and continues into the prefix —
-    // the regime where Stream's lazy base recapture must reproduce
-    // Fixed's eager `jobs[0].arrive` rebase exactly
+    // the regime where the streamed wrap must reproduce the fixed
+    // list's rebase exactly
     let trace = Arc::new(TraceWorkload::from_swf(&sample_text(80)).unwrap());
     for rep in 0..4 {
         assert_rep_equivalent(&trace, 10, 45, rep);

@@ -40,9 +40,11 @@ impl<E> PartialOrd for Entry<E> {
 ///
 /// Events are popped in non-decreasing time order; ties are broken by
 /// insertion order, making runs with a fixed RNG seed fully deterministic.
-/// The queue tracks the current simulation time (`now`), which advances to
-/// each popped event's timestamp and can also be advanced explicitly (the
-/// network layer steps the clock cycle-by-cycle between job-level events).
+/// The queue's time (`now`) is the timestamp of the last popped event;
+/// nothing may be scheduled before it. A caller that moves time on
+/// between events (the simulator steps its network cycle by cycle) keeps
+/// its own clock and asks [`EventQueue::peek_time`] or
+/// [`EventQueue::pop_due`] what is due.
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
@@ -99,11 +101,6 @@ impl<E> EventQueue<E> {
         self.seq += 1;
     }
 
-    /// Schedules `event` `delay` cycles from now.
-    pub fn schedule_in(&mut self, delay: Time, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
     /// Timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<Time> {
         self.heap.peek().map(|Reverse(e)| e.time)
@@ -125,24 +122,6 @@ impl<E> EventQueue<E> {
         } else {
             None
         }
-    }
-
-    /// Advances the clock without popping (used by the cycle-driven network
-    /// layer between job-level events).
-    ///
-    /// # Panics
-    /// Panics if `t` is in the past or would skip over a pending event.
-    pub fn advance_to(&mut self, t: Time) {
-        assert!(t >= self.now, "clock moved backwards");
-        if let Some(pt) = self.peek_time() {
-            assert!(t <= pt, "advance_to({t}) would skip event at {pt}");
-        }
-        self.now = t;
-    }
-
-    /// Discards all pending events (end of a replication).
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -182,15 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(10, Ev::A);
-        q.pop();
-        q.schedule_in(5, Ev::B);
-        assert_eq!(q.pop(), Some((15, Ev::B)));
-    }
-
-    #[test]
     #[should_panic(expected = "in the past")]
     fn past_scheduling_panics() {
         let mut q = EventQueue::new();
@@ -205,33 +175,6 @@ mod tests {
         q.schedule(10, Ev::A);
         assert_eq!(q.pop_due(9), None);
         assert_eq!(q.pop_due(10), Some((10, Ev::A)));
-    }
-
-    #[test]
-    fn advance_to_moves_clock() {
-        let mut q: EventQueue<Ev> = EventQueue::new();
-        q.advance_to(7);
-        assert_eq!(q.now(), 7);
-        q.schedule(9, Ev::A);
-        q.advance_to(9);
-        assert_eq!(q.pop(), Some((9, Ev::A)));
-    }
-
-    #[test]
-    #[should_panic(expected = "skip event")]
-    fn advance_past_event_panics() {
-        let mut q = EventQueue::new();
-        q.schedule(5, Ev::A);
-        q.advance_to(6);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut q = EventQueue::new();
-        q.schedule(1, Ev::A);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
     }
 
     #[test]

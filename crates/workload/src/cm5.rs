@@ -17,6 +17,7 @@
 
 use crate::TraceRecord;
 use desim::SimRng;
+use std::borrow::BorrowMut;
 
 /// Parameters of the synthetic CM-5-like model.
 #[derive(Debug, Clone)]
@@ -56,12 +57,13 @@ impl Cm5Model {
     /// Lazily generates the synthetic trace, one record per `next()`
     /// (draw order identical to [`generate`](Self::generate) for the
     /// same seed — see [`crate::ParagonModel::stream`]).
-    pub fn stream<'a>(&'a self, rng: &'a mut SimRng) -> impl Iterator<Item = TraceRecord> + 'a {
+    pub fn stream(self, mut rng: impl BorrowMut<SimRng>) -> impl Iterator<Item = TraceRecord> {
         assert!(!self.size_menu.is_empty());
         let total_w: f64 = self.size_menu.iter().map(|(_, w)| w).sum();
         let mu_rt = self.runtime_median_s.ln();
         let mut t = 0.0f64;
         (0..self.jobs).map(move |_| {
+            let rng = rng.borrow_mut();
             t += rng.exp(self.mean_interarrival_s);
             let mut pick = rng.uniform01() * total_w;
             let mut size = self.size_menu[0].0;
@@ -83,7 +85,7 @@ impl Cm5Model {
     /// Generates the synthetic trace (a `collect()` of
     /// [`stream`](Self::stream)).
     pub fn generate(&self, rng: &mut SimRng) -> Vec<TraceRecord> {
-        self.stream(rng).collect()
+        self.clone().stream(rng).collect()
     }
 }
 

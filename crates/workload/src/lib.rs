@@ -46,7 +46,7 @@ pub use cm5::Cm5Model;
 pub use paragon::{
     factor_for_load, load_for_factor, scale_trace_record, trace_to_jobs, ParagonModel, TraceRecord,
 };
-pub use stats::{summarize, summarize_stream, StreamingSummary, TraceSummary};
+pub use stats::{summarize_stream, StreamingSummary, TraceSummary};
 pub use stochastic::{SideDist, StochasticGen};
 pub use swf::{parse_swf, write_swf, write_swf_to, SwfError, SwfErrorKind, SwfRecords};
 pub use trace::{RecordIter, ScaledJobs, TraceError, TraceWorkload};

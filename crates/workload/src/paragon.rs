@@ -21,6 +21,7 @@
 use crate::{shape_for_size, JobSpec};
 use desim::{SimRng, Time};
 use serde::{Deserialize, Serialize};
+use std::borrow::BorrowMut;
 
 /// One raw trace record (times in seconds, as in workload archives).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -116,11 +117,13 @@ impl ParagonModel {
     /// [`generate`](Self::generate), so for the same seed the stream and
     /// the batch are record-for-record equal — `gen-trace` pipes this
     /// straight into [`crate::swf::write_swf_to`] to write million-job
-    /// fixtures in O(1) memory.
-    pub fn stream<'a>(&'a self, rng: &'a mut SimRng) -> impl Iterator<Item = TraceRecord> + 'a {
+    /// fixtures in O(1) memory. Given an owned `rng` the stream owns all
+    /// its state, as a replication's synthetic job source does.
+    pub fn stream(self, mut rng: impl BorrowMut<SimRng>) -> impl Iterator<Item = TraceRecord> {
         let mu_rt = self.runtime_median_s.ln();
         let mut t = 0.0f64;
         (0..self.jobs).map(move |_| {
+            let rng = rng.borrow_mut();
             t += self.draw_gap(rng);
             TraceRecord {
                 submit_s: t,
@@ -133,7 +136,7 @@ impl ParagonModel {
     /// Generates the full synthetic trace (a `collect()` of
     /// [`stream`](Self::stream)).
     pub fn generate(&self, rng: &mut SimRng) -> Vec<TraceRecord> {
-        self.stream(rng).collect()
+        self.clone().stream(rng).collect()
     }
 }
 
@@ -167,8 +170,8 @@ pub fn trace_to_jobs(
 /// would emit at stream index `i`.
 ///
 /// The per-record arithmetic lives here so the batch converter and the
-/// streaming [`crate::trace::ScaledJobs`] cursor are bit-identical by
-/// construction.
+/// lazy replays (the [`crate::trace::ScaledJobs`] cursor and the
+/// simulator's synthetic draws) are bit-identical by construction.
 pub fn scale_trace_record(
     r: &TraceRecord,
     i: u64,

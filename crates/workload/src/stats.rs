@@ -26,54 +26,11 @@ pub struct TraceSummary {
     pub median_runtime_s: f64,
 }
 
-/// Computes summary statistics. Returns `None` for traces with fewer than
-/// two jobs (no inter-arrival gaps to characterize).
-pub fn summarize(records: &[TraceRecord]) -> Option<TraceSummary> {
-    if records.len() < 2 {
-        return None;
-    }
-    let n = records.len() as f64;
-    let gaps: Vec<f64> = records
-        .windows(2)
-        .map(|w| (w[1].submit_s - w[0].submit_s).max(0.0))
-        .collect();
-    // procsim-lint: allow(D003): slice iteration in index order; the same record list always sums in the same order
-    let gap_mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
-    let gap_var = gaps
-        .iter()
-        .map(|g| (g - gap_mean) * (g - gap_mean))
-        // procsim-lint: allow(D003): slice iteration in index order; the same record list always sums in the same order
-        .sum::<f64>()
-        / gaps.len() as f64;
-    let cv = if gap_mean > 0.0 {
-        gap_var.sqrt() / gap_mean
-    } else {
-        0.0
-    };
-    // procsim-lint: allow(D003): slice iteration in index order; the same record list always sums in the same order
-    let mean_size = records.iter().map(|r| r.size as f64).sum::<f64>() / n;
-    let pow2 = records.iter().filter(|r| r.size.is_power_of_two()).count() as f64 / n;
-    // procsim-lint: allow(D003): slice iteration in index order; the same record list always sums in the same order
-    let mean_rt = records.iter().map(|r| r.runtime_s).sum::<f64>() / n;
-    let mut rts: Vec<f64> = records.iter().map(|r| r.runtime_s).collect();
-    rts.sort_by(f64::total_cmp);
-    Some(TraceSummary {
-        jobs: records.len(),
-        mean_interarrival_s: gap_mean,
-        interarrival_cv: cv,
-        mean_size,
-        max_size: records.iter().map(|r| r.size).max().unwrap_or(0),
-        pow2_fraction: pow2,
-        mean_runtime_s: mean_rt,
-        median_runtime_s: rts[rts.len() / 2],
-    })
-}
-
 /// Online (single-pass, O(1)-memory) summary builder for streamed traces.
 ///
 /// Push records in submit order, then [`finish`](Self::finish). Every
-/// statistic matches [`summarize`] up to floating-point associativity
-/// except the runtime median, which is estimated from a fixed
+/// statistic matches an exact two-pass computation up to floating-point
+/// associativity except the runtime median, which is estimated from a fixed
 /// 64-bucket log₂ histogram (reported as the geometric midpoint of the
 /// bucket holding the median — within a factor of √2 of the exact
 /// value, documented in `docs/WORKLOADS.md`). Means use Welford-style
@@ -138,7 +95,7 @@ impl StreamingSummary {
         }
         let n = self.jobs as f64;
         let gaps = (self.jobs - 1) as f64;
-        let gap_var = self.gap_m2 / gaps; // population variance, as summarize()
+        let gap_var = self.gap_m2 / gaps; // population variance
         let cv = if self.gap_mean > 0.0 {
             gap_var.sqrt() / self.gap_mean
         } else {
@@ -205,15 +162,41 @@ mod tests {
     use crate::{Cm5Model, ParagonModel};
     use desim::SimRng;
 
-    #[test]
-    fn too_short_traces_rejected() {
-        assert!(summarize(&[]).is_none());
-        assert!(summarize(&[TraceRecord {
-            submit_s: 0.0,
-            size: 1,
-            runtime_s: 1.0
-        }])
-        .is_none());
+    /// The exact two-pass summary: the oracle [`StreamingSummary`] is
+    /// checked against.
+    fn summarize(records: &[TraceRecord]) -> TraceSummary {
+        assert!(records.len() >= 2);
+        let n = records.len() as f64;
+        let gaps: Vec<f64> = records
+            .windows(2)
+            .map(|w| (w[1].submit_s - w[0].submit_s).max(0.0))
+            .collect();
+        let gap_mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
+        let gap_var = gaps
+            .iter()
+            .map(|g| (g - gap_mean) * (g - gap_mean))
+            .sum::<f64>()
+            / gaps.len() as f64;
+        let cv = if gap_mean > 0.0 {
+            gap_var.sqrt() / gap_mean
+        } else {
+            0.0
+        };
+        let mean_size = records.iter().map(|r| r.size as f64).sum::<f64>() / n;
+        let pow2 = records.iter().filter(|r| r.size.is_power_of_two()).count() as f64 / n;
+        let mean_rt = records.iter().map(|r| r.runtime_s).sum::<f64>() / n;
+        let mut rts: Vec<f64> = records.iter().map(|r| r.runtime_s).collect();
+        rts.sort_by(f64::total_cmp);
+        TraceSummary {
+            jobs: records.len(),
+            mean_interarrival_s: gap_mean,
+            interarrival_cv: cv,
+            mean_size,
+            max_size: records.iter().map(|r| r.size).max().unwrap_or(0),
+            pow2_fraction: pow2,
+            mean_runtime_s: mean_rt,
+            median_runtime_s: rts[rts.len() / 2],
+        }
     }
 
     #[test]
@@ -223,7 +206,7 @@ mod tests {
             TraceRecord { submit_s: 100.0, size: 7, runtime_s: 30.0 },
             TraceRecord { submit_s: 200.0, size: 8, runtime_s: 20.0 },
         ];
-        let s = summarize(&recs).unwrap();
+        let s = summarize(&recs);
         assert_eq!(s.jobs, 3);
         assert!((s.mean_interarrival_s - 100.0).abs() < 1e-9);
         assert!(s.interarrival_cv.abs() < 1e-9, "constant gaps -> CV 0");
@@ -238,8 +221,8 @@ mod tests {
         // the two models must differ exactly where the machines did:
         // power-of-two fraction and arrival burstiness
         let mut rng = SimRng::new(12);
-        let p = summarize(&ParagonModel::default().generate(&mut rng)).unwrap();
-        let c = summarize(&Cm5Model::default().generate(&mut rng)).unwrap();
+        let p = summarize_stream(ParagonModel::default().stream(&mut rng)).unwrap();
+        let c = summarize_stream(Cm5Model::default().stream(&mut rng)).unwrap();
         assert!(p.pow2_fraction < 0.25, "Paragon {}", p.pow2_fraction);
         assert!((c.pow2_fraction - 1.0).abs() < 1e-9, "CM-5 all pow2");
         assert!(p.interarrival_cv > 1.3, "Paragon bursty");
@@ -251,7 +234,7 @@ mod tests {
     fn streaming_summary_matches_batch() {
         let recs = ParagonModel { jobs: 2_000, ..Default::default() }
             .generate(&mut SimRng::new(7));
-        let batch = summarize(&recs).unwrap();
+        let batch = summarize(&recs);
         let stream = summarize_stream(recs.iter().copied()).unwrap();
         assert_eq!(stream.jobs, batch.jobs);
         assert_eq!(stream.max_size, batch.max_size);
@@ -287,7 +270,7 @@ mod tests {
     fn display_renders() {
         let recs = ParagonModel { jobs: 100, ..Default::default() }
             .generate(&mut SimRng::new(3));
-        let text = summarize(&recs).unwrap().to_string();
+        let text = summarize_stream(recs).unwrap().to_string();
         assert!(text.contains("mean size"));
         assert!(text.contains("power-of-two"));
     }

@@ -44,8 +44,10 @@
 //!
 //! [`TraceWorkload::open`] makes one validating pass (computing the
 //! scaling statistics online, retaining nothing); replay then re-reads
-//! the file through [`ScaledJobs`], which applies the scaling factor per
-//! record. The scaling arithmetic is shared with the batch converter
+//! the file through the one record cursor ([`RecordIter`], which also
+//! serves [`TraceWorkload::summary`] and [`TraceWorkload::jobs_at_load`])
+//! under [`ScaledJobs`], which applies the scaling factor per record.
+//! The scaling arithmetic is shared with the batch converter
 //! [`trace_to_jobs`] ([`crate::paragon::scale_trace_record`]), so the
 //! lazy and materialized paths are bit-identical by construction — and
 //! the golden CSVs plus the test-only `streaming_equivalence` battery
@@ -139,31 +141,20 @@ pub struct TraceWorkload {
 /// Equality is over the record stream itself.
 impl PartialEq for TraceWorkload {
     fn eq(&self, other: &Self) -> bool {
-        match (&self.source, &other.source) {
-            (TraceSource::Memory(a), TraceSource::Memory(b)) => a == b,
-            _ => self.len == other.len && self.iter_records().eq(other.iter_records()),
-        }
+        self.len == other.len && self.iter_records().eq(other.iter_records())
     }
 }
 
-/// Opens a validated SWF file as a streaming record parser.
-fn open_records(path: &Path) -> Result<SwfRecords<BufReader<std::fs::File>>, TraceError> {
+/// A streaming parser over an SWF file.
+type FileRecords = SwfRecords<BufReader<std::fs::File>>;
+
+/// Opens an SWF file as a streaming record parser.
+fn open_records(path: &Path) -> Result<FileRecords, TraceError> {
     let file = std::fs::File::open(path).map_err(|e| TraceError::Io {
         path: path.display().to_string(),
         message: e.to_string(),
     })?;
     Ok(SwfRecords::new(BufReader::new(file)))
-}
-
-/// Reopens a previously validated trace file mid-replay. The file was
-/// fully parsed once by [`TraceWorkload::open`], so failure here means
-/// it was moved or rewritten while the simulation ran — there is no
-/// sensible recovery, and silently continuing would corrupt results.
-fn reopen_validated(path: &Path) -> SwfRecords<BufReader<std::fs::File>> {
-    match open_records(path) {
-        Ok(p) => p,
-        Err(e) => panic!("trace file {} changed mid-run: {e}", path.display()),
-    }
 }
 
 impl TraceWorkload {
@@ -285,32 +276,32 @@ impl TraceWorkload {
     ///
     /// # Panics
     ///
-    /// A file-backed iterator panics if the file fails to re-parse: the
-    /// file was validated by [`TraceWorkload::open`], so that only
-    /// happens if it was modified mid-run.
-    pub fn iter_records(&self) -> RecordIter<'_> {
-        let inner = match &self.source {
-            TraceSource::Memory(recs) => RecordIterInner::Memory { recs, pos: 0 },
-            TraceSource::File(path) => RecordIterInner::File {
-                parser: reopen_validated(path),
-                path,
-                yielded: 0,
-                expect: self.len,
+    /// A file-backed iterator panics if the file no longer holds the
+    /// records [`TraceWorkload::open`] validated: it was modified
+    /// mid-run.
+    pub fn iter_records(&self) -> RecordIter {
+        let backing = match &self.source {
+            TraceSource::Memory(recs) => Backing::Memory(recs.clone()),
+            TraceSource::File(path) => Backing::File {
+                parser: open_records(path),
+                path: path.clone(),
             },
         };
-        RecordIter { inner }
+        RecordIter {
+            backing,
+            pos: 0,
+            len: self.len,
+        }
     }
 
-    /// Summary statistics: exact for memory-backed workloads, computed
-    /// online in one streaming pass for file-backed ones (the runtime
-    /// median is then a log₂-histogram estimate — see
-    /// [`crate::stats::StreamingSummary`]). `None` for traces with
-    /// fewer than two jobs, which construction already rules out.
-    pub fn summary(&self) -> Option<crate::stats::TraceSummary> {
-        match &self.source {
-            TraceSource::Memory(recs) => crate::stats::summarize(recs),
-            TraceSource::File(_) => crate::stats::summarize_stream(self.iter_records()),
-        }
+    /// Summary statistics, computed online in one pass over
+    /// [`TraceWorkload::iter_records`] whatever the backing, so the same
+    /// records always give the same summary (the runtime median is a
+    /// log₂-histogram estimate — see [`crate::stats::StreamingSummary`]).
+    pub fn summary(&self) -> crate::stats::TraceSummary {
+        crate::stats::summarize_stream(self.iter_records())
+            // procsim-lint: allow(D004): invariant: construction rejects traces of fewer than 2 jobs
+            .expect("invariant: a trace workload holds at least 2 jobs")
     }
 
     /// Number of usable jobs (always >= 2).
@@ -378,13 +369,8 @@ impl TraceWorkload {
     ) -> Vec<JobSpec> {
         let machine = mesh_w as u32 * mesh_l as u32;
         let f = self.factor_for_offered_load(machine, rho);
-        match &self.source {
-            TraceSource::Memory(recs) => trace_to_jobs(recs, mesh_w, mesh_l, f, runtime_scale),
-            TraceSource::File(_) => {
-                let recs: Vec<TraceRecord> = self.iter_records().collect();
-                trace_to_jobs(&recs, mesh_w, mesh_l, f, runtime_scale)
-            }
-        }
+        let recs: Vec<TraceRecord> = self.iter_records().collect();
+        trace_to_jobs(&recs, mesh_w, mesh_l, f, runtime_scale)
     }
 
     /// A lazy, endlessly wrapping stream of scaled simulator jobs
@@ -410,21 +396,13 @@ impl TraceWorkload {
         let machine = mesh_w as u32 * mesh_l as u32;
         let f = self.factor_for_offered_load(machine, rho);
         assert!(f > 0.0 && runtime_scale > 0.0);
-        let source = match &self.source {
-            TraceSource::Memory(recs) => CursorSource::Memory(recs.clone()),
-            TraceSource::File(path) => {
-                let mut parser = reopen_validated(path);
-                skip_validated(&mut parser, start, path);
-                CursorSource::File {
-                    path: path.clone(),
-                    parser,
-                }
-            }
-        };
+        let mut records = self.iter_records();
+        // a skipped record is parsed and dropped: never scaled or kept
+        for _ in 0..start {
+            records.next();
+        }
         ScaledJobs {
-            source,
-            pos: start,
-            len: self.len,
+            records,
             mesh_w,
             mesh_l,
             f,
@@ -448,78 +426,77 @@ impl TraceWorkload {
     }
 }
 
-/// Skips `n` records of a freshly reopened, previously validated file.
-fn skip_validated(parser: &mut SwfRecords<BufReader<std::fs::File>>, n: usize, path: &Path) {
-    for i in 0..n {
-        match parser.next() {
-            Some(Ok(_)) => {}
-            _ => panic!(
-                "trace file {} changed mid-run: stream ended at record {i} while skipping to {n}",
-                path.display()
-            ),
+/// What a [`RecordIter`] reads.
+enum Backing {
+    /// The workload's retained records, shared.
+    Memory(Arc<Vec<TraceRecord>>),
+    /// The validated file, re-read from its start (or the error that
+    /// reopening it gave).
+    File {
+        path: Arc<PathBuf>,
+        parser: Result<FileRecords, TraceError>,
+    },
+}
+
+/// An owned cursor over one pass of a workload's records in submit
+/// order (see [`TraceWorkload::iter_records`]); [`ScaledJobs`] rewinds
+/// it at every wrap. A file-backed cursor holds only its line buffer.
+pub struct RecordIter {
+    backing: Backing,
+    /// Index of the next record.
+    pos: usize,
+    /// The validated record count.
+    len: usize,
+}
+
+impl RecordIter {
+    /// Back to record 0 (a file is reopened).
+    fn rewind(&mut self) {
+        self.pos = 0;
+        if let Backing::File { path, parser } = &mut self.backing {
+            *parser = open_records(path);
         }
     }
 }
 
-enum RecordIterInner<'a> {
-    Memory {
-        recs: &'a [TraceRecord],
-        pos: usize,
-    },
-    File {
-        parser: SwfRecords<BufReader<std::fs::File>>,
-        path: &'a Path,
-        yielded: usize,
-        expect: usize,
-    },
-}
-
-/// Iterator over a workload's records in submit order (see
-/// [`TraceWorkload::iter_records`]).
-pub struct RecordIter<'a> {
-    inner: RecordIterInner<'a>,
-}
-
-impl Iterator for RecordIter<'_> {
+impl Iterator for RecordIter {
     type Item = TraceRecord;
 
     fn next(&mut self) -> Option<TraceRecord> {
-        match &mut self.inner {
-            RecordIterInner::Memory { recs, pos } => {
-                let r = recs.get(*pos).copied();
-                *pos += 1;
-                r
+        let (path, got) = match &mut self.backing {
+            Backing::Memory(recs) => {
+                let r = recs.get(self.pos).copied();
+                self.pos += usize::from(r.is_some());
+                return r;
             }
-            RecordIterInner::File {
-                parser,
+            Backing::File { path, parser } => (
                 path,
-                yielded,
-                expect,
-            } => match parser.next() {
-                Some(Ok(r)) => {
-                    *yielded += 1;
-                    Some(r)
-                }
-                Some(Err(e)) => panic!("trace file {} changed mid-run: {e}", path.display()),
-                None => {
-                    assert!(
-                        *yielded == *expect,
-                        "trace file {} changed mid-run: {yielded} records, validated {expect}",
-                        path.display()
-                    );
-                    None
-                }
-            },
+                match parser {
+                    Ok(p) => p.next().map(|r| r.map_err(TraceError::from)),
+                    Err(e) => Some(Err(e.clone())),
+                },
+            ),
+        };
+        // the file was validated by TraceWorkload::open: it must hold
+        // exactly `len` well-formed records, or it changed while the
+        // simulation ran — there is no sensible recovery, and silently
+        // continuing would corrupt results
+        match (got, self.pos < self.len) {
+            (Some(Ok(r)), true) => {
+                self.pos += 1;
+                Some(r)
+            }
+            (None, false) => None,
+            (got, _) => {
+                let why = match got {
+                    Some(Err(e)) => e.to_string(),
+                    Some(Ok(_)) => format!("it holds more than the {} records validated", self.len),
+                    None => format!("it ended at record {} of {}", self.pos, self.len),
+                };
+                panic!("trace file {} changed mid-run: {why}", path.display())
+            }
         }
     }
-}
-
-enum CursorSource {
-    Memory(Arc<Vec<TraceRecord>>),
-    File {
-        path: Arc<PathBuf>,
-        parser: SwfRecords<BufReader<std::fs::File>>,
-    },
 }
 
 /// An endless, lazily scaled job stream over a [`TraceWorkload`] — see
@@ -527,9 +504,7 @@ enum CursorSource {
 /// `[start+1]`, …, `[len-1]`, `[0]`, … without ever materializing the
 /// scaled vector; file-backed cursors hold only a line buffer.
 pub struct ScaledJobs {
-    source: CursorSource,
-    pos: usize,
-    len: usize,
+    records: RecordIter,
     mesh_w: u16,
     mesh_l: u16,
     f: f64,
@@ -540,35 +515,21 @@ impl Iterator for ScaledJobs {
     type Item = JobSpec;
 
     fn next(&mut self) -> Option<JobSpec> {
-        let rec = match &mut self.source {
-            CursorSource::Memory(recs) => recs[self.pos],
-            CursorSource::File { path, parser } => match parser.next() {
-                Some(Ok(r)) => r,
-                Some(Err(e)) => panic!("trace file {} changed mid-run: {e}", path.display()),
-                None => panic!(
-                    "trace file {} changed mid-run: stream ended at record {} of {}",
-                    path.display(),
-                    self.pos,
-                    self.len
-                ),
-            },
+        let rec = match self.records.next() {
+            Some(r) => r,
+            None => {
+                self.records.rewind();
+                self.records.next()?
+            }
         };
-        let job = crate::paragon::scale_trace_record(
+        Some(crate::paragon::scale_trace_record(
             &rec,
-            self.pos as u64,
+            self.records.pos as u64 - 1,
             self.mesh_w,
             self.mesh_l,
             self.f,
             self.runtime_scale,
-        );
-        self.pos += 1;
-        if self.pos == self.len {
-            self.pos = 0;
-            if let CursorSource::File { path, parser } = &mut self.source {
-                *parser = reopen_validated(path);
-            }
-        }
-        Some(job)
+        ))
     }
 }
 
@@ -718,6 +679,39 @@ mod tests {
             TraceSource::File(_) => unreachable!(),
         }
         assert_eq!(a.take(40).collect::<Vec<_>>(), b.take(40).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn summary_is_the_same_for_both_backings() {
+        let sample = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/traces/sdsc_sample.swf"
+        );
+        let memory = TraceWorkload::from_swf(&std::fs::read_to_string(sample).unwrap()).unwrap();
+        let file = TraceWorkload::open(sample).unwrap();
+        assert!(file.is_streaming() && !memory.is_streaming());
+        assert_eq!(memory.summary(), file.summary());
+    }
+
+    #[test]
+    #[should_panic(expected = "changed mid-run")]
+    fn a_file_that_grows_mid_run_is_caught_at_the_wrap() {
+        let path =
+            std::env::temp_dir().join(format!("procsim_growing_trace_{}.swf", std::process::id()));
+        std::fs::write(&path, crate::write_swf(&flat_trace(5, 10.0, 4, 20.0))).unwrap();
+        let w = TraceWorkload::open(&path).unwrap();
+        let mut jobs = w.stream_jobs(16, 22, 0.7, 360.0, 0);
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str("6 60 0 20 4 -1 -1 4\n");
+        std::fs::write(&path, text).unwrap();
+        let drawn = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            jobs.by_ref().take(w.len() + 1).count()
+        }));
+        std::fs::remove_file(&path).ok();
+        // at the wrap the cursor finds a record past the validated length
+        if let Err(panic) = drawn {
+            std::panic::resume_unwind(panic);
+        }
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub use mesh_sched::{QueuedJob, Scheduler, SchedulerKind};
 // --- workloads and statistics ---------------------------------------------
 pub use simstats::{student_t_95, Histogram, Replications, StopReason, TimeWeighted, Welford};
 pub use workload::{
-    factor_for_load, load_for_factor, parse_swf, shape_for_size, summarize,
-    summarize_stream, trace_to_jobs, write_swf, write_swf_to, Cm5Model, JobSpec, ParagonModel,
+    factor_for_load, load_for_factor, parse_swf, shape_for_size, summarize_stream,
+    trace_to_jobs, write_swf, write_swf_to, Cm5Model, JobSpec, ParagonModel,
     ScaledJobs, SideDist, StochasticGen, StreamingSummary, SwfError, SwfErrorKind, SwfRecords,
     TraceError, TraceRecord, TraceSummary, TraceWorkload,
 };

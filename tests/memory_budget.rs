@@ -2,7 +2,8 @@
 //! counting global allocator proves that opening and replaying a
 //! generated trace keeps **peak live heap** under a fixed budget that is
 //! independent of trace length — the property the streaming refactor
-//! exists to provide. A retained pipeline (or a reintroduced per-point
+//! exists to provide — and that a synthetic trace's heap does not grow
+//! with the job budget. A retained pipeline (or a reintroduced per-point
 //! scaled-job cache) fails this immediately: just the `TraceRecord`s of
 //! the long trace exceed the whole-pipeline budget asserted here.
 //!
@@ -110,6 +111,32 @@ fn replay_peak(path: &Path, rep: u64) -> usize {
 
 const MIB: usize = 1 << 20;
 
+/// Runs one replication of the synthetic Paragon workload with a
+/// `jobs`-job budget and returns its peak heap growth. A 4x4 mesh and a
+/// runtime scale that rounds every job to one message per node keep the
+/// simulator's own live set small and flat in the budget, so what grows
+/// with the budget is whatever the job source holds.
+fn paragon_peak(jobs: usize) -> usize {
+    let (peak, m) = peak_during(|| {
+        let mut cfg = SimConfig::paper(
+            StrategyKind::Gabl,
+            SchedulerKind::Fcfs,
+            WorkloadSpec::SyntheticTrace {
+                model: ParagonModel::default(),
+                load: 0.002,
+                runtime_scale: 1e9,
+            },
+            5,
+        );
+        (cfg.mesh_w, cfg.mesh_l) = (4, 4);
+        cfg.warmup_jobs = jobs / 5;
+        cfg.measured_jobs = jobs - jobs / 5;
+        Simulator::new(&cfg, 0).run()
+    });
+    assert_eq!(m.jobs as usize, jobs - jobs / 5);
+    peak
+}
+
 #[test]
 fn streaming_replay_peak_heap_is_bounded_and_length_independent() {
     let dir = std::env::temp_dir();
@@ -155,7 +182,7 @@ fn streaming_replay_peak_heap_is_bounded_and_length_independent() {
     );
     // absolute budget: the live set is the simulator (mesh, network,
     // queues, in-flight packets for <= 300 jobs), not the trace. The
-    // observed peak is ~270 KiB; 2 MiB gives 7x headroom yet still trips
+    // observed peak is ~325 KiB; 2 MiB gives 6x headroom yet still trips
     // if even the raw 100k TraceRecords (~2.3 MiB) were materialized,
     // let alone the scaled JobSpecs (~4.6 MiB).
     assert!(
@@ -209,6 +236,21 @@ fn streaming_replay_peak_heap_is_bounded_and_length_independent() {
 
     std::fs::remove_file(&short_path).ok();
     std::fs::remove_file(&long_path).ok();
+
+    // --- synthetic replay: the draws are not held per replication ---
+    // a synthetic trace is drawn one record per arrival, so ten times
+    // the job budget may not cost more heap. A source that materialized
+    // its draws would hold a 24 B record and a 32 B job for each of
+    // min(1.5 x budget + 100, 10,658) records: about 90 KiB at 1,000
+    // jobs and 580 KiB at 10,000, 490 KiB apart.
+    let peak_small = paragon_peak(1_000);
+    let peak_large = paragon_peak(10_000);
+    eprintln!("peaks: paragon 1k jobs {peak_small} B, 10k jobs {peak_large} B");
+    assert!(
+        peak_large < peak_small + 64 * 1024,
+        "synthetic replay heap grew with the job budget: {peak_small} B at \
+         1,000 jobs, {peak_large} B at 10,000 — the draws are being kept"
+    );
 
     // --- campaign matrix expansion: 1000 points stay lightweight ---
     // expand() materializes one CampaignPoint (settings + versioned spec
