@@ -70,8 +70,9 @@ impl CampaignPoint {
     }
 }
 
-/// FNV-1a 64-bit over a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit over a byte string: the cache key of a point's spec
+/// string, and the per-strategy seed stream of `procsim trace`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {
         h ^= b as u64;
@@ -124,8 +125,10 @@ fn spec_string(s: &PointSettings, seed: u64, trace: Option<&TraceWorkload>) -> S
 /// Expands a scenario into its full cross-product of points, applying
 /// knob precedence (builtin < defaults < matrix < override) and deriving
 /// per-point seeds from the seed slot. Each trace file is opened (and
-/// validated) once, however many points replay it.
+/// validated) once, however many points replay it. An unknown `[output]`
+/// column is refused here, before any point runs.
 pub fn expand(s: &Scenario) -> Result<Vec<CampaignPoint>, ScenarioError> {
+    render_csv(&s.output, [])?;
     let mut traces: BTreeMap<String, Arc<TraceWorkload>> = BTreeMap::new();
     // sizes of each axis, and which axes advance the seed slot
     let sizes: Vec<usize> = s.matrix.iter().map(|(_, vs)| vs.len()).collect();
@@ -163,7 +166,12 @@ pub fn expand(s: &Scenario) -> Result<Vec<CampaignPoint>, ScenarioError> {
             };
             if current == rule.value {
                 for (k, v) in &rule.set {
-                    settings.apply(k, v, rule.line, &format!("override.{}={}.{k}", rule.axis, rule.value))?;
+                    settings.apply(
+                        k,
+                        v,
+                        rule.line,
+                        &format!("override.{}={}.{k}", rule.axis, rule.value),
+                    )?;
                 }
             }
         }
@@ -321,10 +329,14 @@ fn parse_entry(text: &str, want_spec: &str) -> Option<PointResult> {
 fn write_entry(dir: &Path, point: &CampaignPoint, p: &PointResult) -> Result<(), CampaignError> {
     let path = dir.join(format!("{}.point", point.hash));
     let tmp = dir.join(format!("{}.tmp", point.hash));
-    std::fs::write(&tmp, render_entry(&point.spec, p))
-        .map_err(io_err(format!("cannot write cache entry {}", tmp.display())))?;
-    std::fs::rename(&tmp, &path)
-        .map_err(io_err(format!("cannot commit cache entry {}", path.display())))
+    std::fs::write(&tmp, render_entry(&point.spec, p)).map_err(io_err(format!(
+        "cannot write cache entry {}",
+        tmp.display()
+    )))?;
+    std::fs::rename(&tmp, &path).map_err(io_err(format!(
+        "cannot commit cache entry {}",
+        path.display()
+    )))
 }
 
 /// Loads a cached result for `point`, or `None` on any miss.
@@ -338,7 +350,10 @@ fn load_entry(dir: &Path, point: &CampaignPoint) -> Option<PointResult> {
 /// (spec-verified, not just file-present) — the read-only probe behind
 /// `procsim campaign --dry-run` and the pre-run status line.
 pub fn cached_count(points: &[CampaignPoint], dir: &Path) -> usize {
-    points.iter().filter(|p| load_entry(dir, p).is_some()).count()
+    points
+        .iter()
+        .filter(|p| load_entry(dir, p).is_some())
+        .count()
 }
 
 // ---------------------------------------------------------------------------
@@ -431,7 +446,9 @@ pub fn run_campaign(
             r.expect("invariant: campaign point resolved")
         })
         .collect();
-    let csv = render_csv(scenario, points, &merged)?;
+    let settings = points.iter().map(|p| &p.settings);
+    let csv =
+        render_csv(&scenario.output, settings.zip(&merged)).map_err(CampaignError::Scenario)?;
 
     Ok(CampaignOutcome {
         points: merged,
@@ -452,52 +469,55 @@ const METRICS: [&str; 6] = [
     "fragments",
 ];
 
-/// Assembles the campaign CSV per the scenario's `[output]` spec.
-/// Unknown column names are a validation error (named here rather than
-/// silently emitting empty cells).
-fn render_csv(
-    scenario: &Scenario,
-    points: &[CampaignPoint],
-    results: &[PointResult],
-) -> Result<String, CampaignError> {
-    let out_spec: &OutputSpec = &scenario.output;
-
-    // header
+/// Renders one CSV in the `spec` layout: a header, then one row per
+/// (point settings, result) pair, floats at full precision (shortest
+/// round-trip form), so files diff cleanly across runs and thread counts.
+/// A column that is no built-in (`series`, `topology`, `load`, `reps`,
+/// `means`, `cis`) is an `[output.values]` constant, else a knob name;
+/// any other name is refused, rows or no rows.
+pub fn render_csv<'a>(
+    spec: &OutputSpec,
+    rows: impl IntoIterator<Item = (&'a PointSettings, &'a PointResult)>,
+) -> Result<String, ScenarioError> {
+    let named = |column: &str, settings: &PointSettings| {
+        let constant = spec.values.iter().find(|(k, _)| k == column);
+        constant
+            .map(|(_, v)| v.clone())
+            .or_else(|| settings.knob_value(column))
+    };
     let mut header: Vec<String> = Vec::new();
-    for col in &out_spec.columns {
+    for col in &spec.columns {
         match col.as_str() {
             "means" => header.extend(METRICS.iter().map(|m| m.to_string())),
             "cis" => header.extend(METRICS.iter().map(|m| format!("ci_{m}"))),
-            other => header.push(other.to_string()),
+            "series" | "topology" | "load" | "reps" => header.push(col.clone()),
+            // every knob renders at every point, so the defaults decide
+            other if named(other, &PointSettings::default()).is_some() => header.push(col.clone()),
+            other => {
+                return Err(ScenarioError::new(
+                    0,
+                    format!("output.columns.{other}"),
+                    "unknown column (built-ins: series, topology, load, reps, means, \
+                     cis; or an [output.values] constant or knob name)",
+                ))
+            }
         }
     }
     let mut csv = header.join(",");
     csv.push('\n');
 
-    for (point, r) in points.iter().zip(results) {
+    for (settings, r) in rows {
         let mut row: Vec<String> = Vec::new();
-        for col in &out_spec.columns {
+        for col in &spec.columns {
             match col.as_str() {
                 "series" => row.push(r.label.clone()),
-                "topology" => row.push(point.settings.topology.to_string()),
+                "topology" => row.push(settings.topology.to_string()),
                 "load" => row.push(format!("{}", r.load)),
                 "reps" => row.push(r.replications.to_string()),
                 "means" => row.extend(r.means.iter().map(|m| format!("{m}"))),
                 "cis" => row.extend(r.ci95.iter().map(|c| format!("{c}"))),
-                other => {
-                    if let Some((_, v)) = out_spec.values.iter().find(|(k, _)| k == other) {
-                        row.push(v.clone());
-                    } else if let Some(v) = point.settings.knob_value(other) {
-                        row.push(v);
-                    } else {
-                        return Err(CampaignError::Scenario(ScenarioError::new(
-                            0,
-                            format!("output.columns.{other}"),
-                            "unknown column (built-ins: series, topology, load, reps, means, \
-                             cis; or an [output.values] constant or knob name)",
-                        )));
-                    }
-                }
+                // the header refused unknown columns
+                other => row.push(named(other, settings).unwrap_or_default()),
             }
         }
         csv.push_str(&row.join(","));

@@ -279,6 +279,24 @@ fn expand_rejects_contradictory_reps() {
 }
 
 #[test]
+fn expand_rejects_unknown_output_columns() {
+    // refused at expansion, so `campaign --dry-run` catches it before
+    // any point runs
+    let with_columns = |columns: &str| {
+        Scenario::parse(&format!(
+            "{MINIMAL}[output]\ncolumns = [{columns}]\n\n[output.values]\nfigure = \"9\"\n"
+        ))
+        .unwrap()
+    };
+    let e = expand(&with_columns(r#""series", "lod", "means""#)).unwrap_err();
+    assert_eq!(e.place, "output.columns.lod", "{e}");
+    assert!(e.msg.contains("unknown column"), "{e}");
+    // built-ins, [output.values] constants and knob names all resolve
+    let ok = r#""figure", "series", "scheduler", "load", "reps", "means", "cis""#;
+    assert_eq!(expand(&with_columns(ok)).unwrap().len(), 1);
+}
+
+#[test]
 fn expand_rejects_meshes_beyond_the_rank_limit() {
     // a packet tag holds the sender rank in 20 bits: 1024 x 1024 is the
     // largest square mesh that fits

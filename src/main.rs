@@ -1,32 +1,23 @@
 //! `procsim` CLI — run a single configuration, a load sweep, or a trace
 //! replay from the command line.
 //!
-//! ```text
-//! procsim run   [--strategy gabl|paging0|mbs|ff|bf|random|mc]
-//!               [--scheduler fcfs|ssd|sjf|ljf|easy|fcfs-window<N>]
-//!               [--workload uniform|exponential|paragon|cm5]
-//!               [--topology mesh|torus]
-//!               [--load 0.0008] [--jobs 400] [--seed 42]
-//!               [--reps N] [--threads N]
-//! procsim sweep [same flags] --loads 0.0002,0.0004,0.0008
-//! procsim trace <file.swf> [--load 0.7] [--strategy S|all] [--scheduler P]
-//!               [--topology mesh|torus] [--scale 360] [--jobs N] [--reps R]
-//!               [--seed K] [--csv PATH]
-//! procsim gen-trace <out.swf> [--model paragon|cm5] [--jobs N] [--seed K]
-//! procsim campaign <scenario.toml> [--cache DIR] [--csv PATH] [--force]
-//!               [--dry-run] [--threads N]
-//! ```
+//! `procsim help` prints every subcommand's flags (the `COMMANDS` table).
 //!
-//! Every simulating subcommand takes `--topology {mesh,torus}` (`--torus`
-//! is a legacy alias for `--topology torus`): the same workload, strategy,
-//! and seeds drive either network, so a mesh run and a torus run differ
-//! only in the wraparound links and the dateline virtual channels — see
-//! `docs/TOPOLOGIES.md`.
+//! Every simulating subcommand takes `--topology {mesh,torus}`: the same
+//! workload, strategy, and seeds drive either network, so a mesh run and
+//! a torus run differ only in the wraparound links and the dateline
+//! virtual channels — see `docs/TOPOLOGIES.md`.
+//!
+//! `run`, `sweep` and `trace` apply their flags as scenario knobs
+//! ([`PointSettings`], the vocabulary of scenario files) and run their
+//! points as one batch on the worker pool; `--reps 1` runs a single
+//! replication per point, with no confidence intervals.
 //!
 //! `trace` replays an SWF archive file at a target **offered load**
 //! (`--load 0.7` = the scaled trace occupies 70 % of machine capacity in
 //! its own time domain; see `docs/WORKLOADS.md` for the math) and writes
-//! one CSV row per (strategy, load) point.
+//! one CSV row per (strategy, load) point through the campaign's CSV
+//! renderer.
 //!
 //! `main` builds the process's one worker pool and passes it to the
 //! subcommand: `--threads N` sets its size, else the `PROCSIM_THREADS`
@@ -35,13 +26,23 @@
 
 use procsim::{
     cached_count, derive_seed, expand, pool, run_campaign, run_points, write_swf_to,
-    CampaignOptions, Cm5Model, ParagonModel, PointResult, PointSettings, Scenario, SchedulerKind,
-    SimConfig, SimRng, StopReason, StrategyKind, TopologyKind, TraceWorkload, WorkerPool,
-    WorkloadSpec,
+    CampaignOptions, Cm5Model, ParagonModel, PointResult, PointSettings, Scenario, SimConfig,
+    SimRng, Simulator, StopReason, StrategyKind, TraceWorkload, WorkerPool,
 };
-use procsim_core::scenario::{Value, WorkloadName};
+use procsim_core::campaign::{fnv1a, render_csv};
+use procsim_core::scenario::{OutputSpec, Value, WorkloadName};
 use std::io::Write;
 use std::sync::Arc;
+
+/// Writes one line to stdout. A failed write (say, a reader that closed
+/// the pipe early) ends the process with exit 2, never a panic.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        if let Err(e) = writeln!(std::io::stdout(), $($arg)*) {
+            die(&format!("cannot write to stdout: {e}"))
+        }
+    };
+}
 
 /// One subcommand's command line: the flags that take a value, the
 /// switches that take none, how many positional arguments it takes, and
@@ -60,20 +61,34 @@ const COMMANDS: [Cmd; 5] = [
         usage: "procsim run   [--strategy S] [--scheduler P] [--workload W] [--load L]\n\
                 \x20               [--topology T] [--jobs N] [--seed K] [--reps R] [--threads T]",
         values: &[
-            "strategy", "scheduler", "workload", "topology", "load", "jobs", "seed", "reps",
+            "strategy",
+            "scheduler",
+            "workload",
+            "topology",
+            "load",
+            "jobs",
+            "seed",
+            "reps",
             "threads",
         ],
-        switches: &["torus"],
+        switches: &[],
         positional: 0,
     },
     Cmd {
         name: "sweep",
         usage: "procsim sweep --loads a,b,c [run's flags except --load]",
         values: &[
-            "loads", "strategy", "scheduler", "workload", "topology", "jobs", "seed", "reps",
+            "loads",
+            "strategy",
+            "scheduler",
+            "workload",
+            "topology",
+            "jobs",
+            "seed",
+            "reps",
             "threads",
         ],
-        switches: &["torus"],
+        switches: &[],
         positional: 0,
     },
     Cmd {
@@ -81,13 +96,19 @@ const COMMANDS: [Cmd; 5] = [
         usage: "procsim trace <file.swf> [--load RHO] [--strategy S|all] [--scheduler P]\n\
                 \x20               [--topology T] [--scale S] [--jobs N] [--reps R] [--seed K]\n\
                 \x20               [--csv PATH] [--threads T]",
-        // `factor` is the retired spelling of `load`: accepted here only
-        // so `run_trace` can say what replaced it
         values: &[
-            "load", "strategy", "scheduler", "topology", "scale", "jobs", "reps", "seed", "csv",
-            "threads", "factor",
+            "load",
+            "strategy",
+            "scheduler",
+            "topology",
+            "scale",
+            "jobs",
+            "reps",
+            "seed",
+            "csv",
+            "threads",
         ],
-        switches: &["torus"],
+        switches: &[],
         positional: 1,
     },
     Cmd {
@@ -124,19 +145,31 @@ impl Args {
         std::process::exit(2)
     }
 
+    /// The positional file argument; its absence is a usage error.
+    fn file(&self, what: &str) -> &String {
+        let missing = || self.usage_error(&format!("{} needs {what}", self.cmd.name));
+        self.positional.first().unwrap_or_else(missing)
+    }
+
+    /// `s`, the value of `--key`, parsed as a number; a value that does
+    /// not parse is a usage error.
+    fn parse<T>(&self, key: &str, s: &str) -> T
+    where
+        T: std::str::FromStr,
+        T::Err: std::fmt::Display,
+    {
+        s.parse()
+            .unwrap_or_else(|e| self.usage_error(&format!("bad --{key} '{s}': {e}")))
+    }
+
     /// The value of `--key` parsed as a number, or `default` when the
-    /// flag is absent. A value that does not parse is a usage error.
+    /// flag is absent.
     fn num<T>(&self, key: &str, default: T) -> T
     where
         T: std::str::FromStr,
         T::Err: std::fmt::Display,
     {
-        match self.map.get(key) {
-            None => default,
-            Some(s) => s
-                .parse()
-                .unwrap_or_else(|e| self.usage_error(&format!("bad --{key} '{s}': {e}"))),
-        }
+        self.map.get(key).map_or(default, |s| self.parse(key, s))
     }
 
     /// [`Args::num`] for a count: one below `min` is a usage error, never
@@ -147,6 +180,47 @@ impl Args {
             self.usage_error(&format!("--{key} must be at least {min}"));
         }
         n
+    }
+
+    /// Applies `value` to the scenario knob `key` of `point`; a value the
+    /// knob refuses is a usage error naming `--{flag}`, the flag typed.
+    fn set(&self, point: &mut PointSettings, flag: &str, key: &str, value: Value) {
+        if let Err(e) = point.apply(key, &value, 0, key) {
+            self.usage_error(&format!("--{flag}: {}", e.msg));
+        }
+    }
+
+    /// One point per value of the knob `key` (typed as `--{flag}`): each
+    /// `base` with that value, as a scenario's matrix axis would make.
+    fn axis(
+        &self,
+        base: &PointSettings,
+        flag: &str,
+        key: &str,
+        values: Vec<Value>,
+    ) -> Vec<PointSettings> {
+        let point = |value| {
+            let mut point = base.clone();
+            self.set(&mut point, flag, key, value);
+            point
+        };
+        values.into_iter().map(point).collect()
+    }
+
+    /// The built-in point with the `knobs` flags given applied as the
+    /// scenario knobs of the same name (so the CLI and scenario files
+    /// share one vocabulary and one workload mapping), measuring
+    /// `--jobs N` jobs after `max(N/4, 10)` warmup.
+    fn point(&self, knobs: &[&str]) -> PointSettings {
+        let mut point = PointSettings::default();
+        for &key in knobs {
+            if let Some(name) = self.map.get(key) {
+                self.set(&mut point, key, key, Value::Str(name.clone()));
+            }
+        }
+        point.measured = self.count("jobs", 400, 1);
+        point.warmup = (point.measured / 4).max(10);
+        point
     }
 }
 
@@ -188,71 +262,29 @@ fn parse_args(cmd: &'static Cmd, args: &[String]) -> Args {
     a
 }
 
-fn strategy_of(name: &str) -> StrategyKind {
-    // the scenario format and the CLI share one spelling (FromStr)
-    name.parse().unwrap_or_else(|e: String| die(&e))
-}
-
-fn scheduler_of(name: &str) -> SchedulerKind {
-    name.parse().unwrap_or_else(|e: String| die(&e))
-}
-
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!("run `procsim help` for usage");
     std::process::exit(2)
 }
 
-/// Reads the run topology from `--topology mesh|torus` (or the legacy
-/// `--torus` flag). The two spellings must agree if both appear.
-fn topology_of(a: &Args) -> TopologyKind {
-    let named = a
-        .map
-        .get("topology")
-        .map(|s| s.parse::<TopologyKind>().unwrap_or_else(|e| die(&e)));
-    let legacy_torus = a.flags.iter().any(|f| f == "torus");
-    match (named, legacy_torus) {
-        (Some(TopologyKind::Mesh), true) => {
-            die("--topology mesh contradicts --torus (drop one)")
-        }
-        (Some(t), _) => t,
-        (None, true) => TopologyKind::Torus,
-        (None, false) => TopologyKind::Mesh,
+/// Writes `text` to the file `path`, creating its directory first.
+fn write_csv(path: &str, text: &str) {
+    create_parent(path)
+        .and_then(|()| std::fs::write(path, text))
+        .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+}
+
+/// Creates the directory `path` is in, if it names one.
+fn create_parent(path: &str) -> std::io::Result<()> {
+    match std::path::Path::new(path).parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => std::fs::create_dir_all(dir),
+        _ => Ok(()),
     }
 }
 
-/// The `run` / `sweep` point at `load` (the built-in default load when
-/// `None`): the CLI flags applied as scenario knobs onto the built-in
-/// defaults, so the CLI and scenario files share one vocabulary and one
-/// workload mapping.
-fn point_config(a: &Args, load: Option<&str>) -> SimConfig {
-    let mut settings = PointSettings::default();
-    let mut set = |key: &str, v: Value| {
-        settings
-            .apply(key, &v, 0, &format!("--{key}"))
-            .unwrap_or_else(|e| die(&format!("--{key}: {}", e.msg)))
-    };
-    for key in ["strategy", "scheduler", "workload"] {
-        if let Some(name) = a.map.get(key) {
-            set(key, Value::Str(name.clone()));
-        }
-    }
-    if let Some(load) = load {
-        let load = load.trim();
-        set("load", Value::Float(load.parse().unwrap_or_else(|_| die(&format!("bad load '{load}'")))));
-    }
-    let jobs: i64 = a.num("jobs", 400);
-    set("measured", Value::Int(jobs));
-    set("warmup", Value::Int((jobs / 4).max(10)));
-    if settings.workload == WorkloadName::Trace {
-        die("--workload trace replays a file: use `procsim trace <file.swf>`");
-    }
-    settings.topology = topology_of(a);
-    settings.sim_config(a.num("seed", 42), None)
-}
-
-fn print_result(p: &procsim::PointResult) {
-    println!(
+fn print_result(p: &PointResult) {
+    out!(
         "{:<18} load {:<9.5} turnaround {:>10.1} ±{:>7.1}  service {:>8.1}  util {:>5.3}  latency {:>7.1}  blocking {:>7.1}  [{} reps]",
         p.label,
         p.load,
@@ -266,185 +298,144 @@ fn print_result(p: &procsim::PointResult) {
     );
 }
 
-/// Stable per-strategy substream index for [`derive_seed`] (FNV-1a over
-/// the series label): a strategy's random streams are identical whether
-/// it runs alone (`--strategy mbs`) or inside `--strategy all`, so
-/// single-strategy runs reproduce the matching row of an all-strategies
-/// CSV.
-fn strategy_stream(label: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in label.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+/// Runs every point's replications as one batch on `pool` and prints one
+/// line per point: `reps` to `2 × reps` replications each, until the
+/// paper's precision holds, or with `--reps 1` a single replication per
+/// point and no confidence intervals.
+fn run_batch(pool: &WorkerPool, cfgs: &[SimConfig], reps: usize) -> Vec<PointResult> {
+    let points = if reps == 1 {
+        eprintln!("note: --reps 1 runs one replication per point (no confidence intervals)");
+        cfgs.iter()
+            .map(|cfg| PointResult {
+                label: cfg.series_label(),
+                load: cfg.workload.load(),
+                replications: 1,
+                stop: StopReason::Budget,
+                means: Simulator::new(cfg, 0).run().response_vector(),
+                ci95: [0.0; 6],
+            })
+            .collect()
+    } else {
+        run_points(pool, cfgs, reps, reps * 2)
+    };
+    for p in &points {
+        print_result(p);
     }
-    h
+    points
+}
+
+/// `procsim run` / `procsim sweep`: one point per load, each the
+/// command line's knobs at that load.
+fn run_sweep(a: &Args, pool: &WorkerPool, reps: usize) {
+    let base = a.point(&["strategy", "scheduler", "workload", "topology"]);
+    if base.workload == WorkloadName::Trace {
+        a.usage_error("--workload trace replays a file: use `procsim trace <file.swf>`");
+    }
+    // `run` has no --loads flag; `sweep` has no --load flag
+    let (flag, loads): (&str, Vec<f64>) = match a.map.get("loads") {
+        Some(l) => (
+            "loads",
+            l.split(',').map(|l| a.parse("loads", l.trim())).collect(),
+        ),
+        None if a.cmd.name == "run" => ("load", vec![a.num("load", base.load)]),
+        None => a.usage_error("sweep needs --loads a,b,c"),
+    };
+    let loads = loads.into_iter().map(Value::Float).collect();
+    let points = a.axis(&base, flag, "load", loads);
+    let seed = a.num("seed", 42);
+    let cfgs: Vec<SimConfig> = points.iter().map(|p| p.sim_config(seed, None)).collect();
+    run_batch(pool, &cfgs, reps);
 }
 
 /// `procsim trace <file.swf>`: replay an SWF trace at a target offered
-/// load. Every (strategy) series is one experimental point; all points'
+/// load. Every strategy is one point of the `trace` workload; all points'
 /// replications run as a single batch on `pool`, so the CSV is
-/// bit-identical at any thread count.
+/// bit-identical at any thread count. Each strategy's seed derives from
+/// its name, so its random streams are identical whether it runs alone
+/// (`--strategy mbs`) or inside `--strategy all`.
 ///
 /// The trace is opened **streaming** ([`TraceWorkload::open`]): one
 /// validating pass computes the scaling statistics, and replay re-reads
 /// the file lazily — memory stays bounded however long the trace is, so
 /// `gen-trace`-produced million-job fixtures replay without swapping.
-/// `--reps 1` runs a single replication per strategy (no confidence
-/// intervals) — the stress-replay mode CI's smoke step uses.
 fn run_trace(a: &Args, pool: &WorkerPool, reps: usize) {
-    let path = a
-        .positional
-        .first()
-        .unwrap_or_else(|| die("trace needs a .swf file path"));
-    if a.map.contains_key("factor") {
-        // the pre-offered-load flag; ignoring it silently would replay at
-        // a different load than the caller asked for
-        die(
-            "--factor was replaced by --load (target offered load, e.g. 0.7); \
-             a factor f corresponds to --load <native_load / f> — see docs/WORKLOADS.md",
-        );
-    }
-    let load: f64 = a.num("load", 0.7);
-    // `!(x > 0.0)` also rejects NaN, which `x <= 0.0` would let through
-    if !(load > 0.0 && load.is_finite()) {
-        die("--load must be a positive number (offered-load fraction, e.g. 0.7)");
-    }
-    let scale: f64 = a.num("scale", 360.0);
-    if !(scale > 0.0 && scale.is_finite()) {
-        die("--scale must be a positive number (seconds of runtime per message)");
-    }
-    let topology = topology_of(a);
-    let strategies: Vec<StrategyKind> = match a.map.get("strategy").map(|s| s.as_str()) {
-        None | Some("all") => StrategyKind::PAPER.to_vec(),
-        Some(name) => vec![strategy_of(name)],
+    let path = a.file("a .swf file path");
+    let mut base = a.point(&["scheduler", "topology"]);
+    base.workload = WorkloadName::Trace;
+    base.trace = Some(path.clone());
+    a.set(&mut base, "load", "load", Value::Float(a.num("load", 0.7)));
+    let scale = a.num("scale", base.runtime_scale);
+    a.set(&mut base, "scale", "runtime_scale", Value::Float(scale));
+    let strategies = match a.map.get("strategy") {
+        Some(name) if name != "all" => vec![Value::Str(name.clone())],
+        _ => StrategyKind::PAPER
+            .iter()
+            .map(|s| Value::Str(s.spelling()))
+            .collect(),
     };
-    let scheduler = scheduler_of(a.map.get("scheduler").map(|s| s.as_str()).unwrap_or("fcfs"));
+    let points = a.axis(&base, "strategy", "strategy", strategies);
     let seed: u64 = a.num("seed", 42);
-    let req_jobs = a.count("jobs", 400, 1);
+
     let trace = TraceWorkload::open(path).unwrap_or_else(|e| die(&e.to_string()));
-    let (mesh_w, mesh_l) = procsim::PAPER_MESH;
-    let machine = mesh_w as u32 * mesh_l as u32;
-    println!("{}", trace.summary());
-    println!(
-        "native offered load: {:.3} (on {} processors)\n",
-        trace.offered_load(machine),
-        machine
+    let machine = u32::from(base.mesh_w) * u32::from(base.mesh_l);
+    out!("{}", trace.summary());
+    out!(
+        "native offered load: {:.3} (on {machine} processors)\n",
+        trace.offered_load(machine)
+    );
+    let factor = trace.factor_for_offered_load(machine, base.load);
+    out!(
+        "replaying at offered load {} on the {} \
+         (arrival-scaling factor f = {factor:.4}, f < 1 compresses)\n",
+        base.load,
+        base.topology
     );
 
-    let factor = trace.factor_for_offered_load(machine, load);
-    println!(
-        "replaying at offered load {load} on the {topology} \
-         (arrival-scaling factor f = {factor:.4}, f < 1 compresses)\n"
-    );
-
-    // a replication only sees trace.len() arrivals (the segment wraps the
-    // stream exactly once), so cap warmup + measurement to what the trace
-    // can feed
-    let req_warmup = (req_jobs / 4).max(10);
-    let (warmup, jobs) = trace.capped_budget(req_warmup, req_jobs);
-    if (warmup, jobs) != (req_warmup, req_jobs) {
+    // same seed on either topology: a mesh and a torus replay of one
+    // strategy see identical job streams (paired comparison)
+    let trace = Arc::new(trace);
+    let cfgs: Vec<SimConfig> = points
+        .iter()
+        .map(|p| {
+            let stream = fnv1a(p.strategy.to_string().as_bytes());
+            p.sim_config(derive_seed(seed, stream), Some(&trace))
+        })
+        .collect();
+    // a replication only sees trace.len() arrivals, so sim_config caps
+    // warmup + measurement to what the trace can feed
+    let (warmup, jobs) = (cfgs[0].warmup_jobs, cfgs[0].measured_jobs);
+    if (warmup, jobs) != (base.warmup, base.measured) {
         eprintln!(
             "warning: trace has only {} jobs; measuring {jobs} after {warmup} warmup",
             trace.len()
         );
     }
-
-    let trace = Arc::new(trace);
-    let cfgs: Vec<SimConfig> = strategies
-        .iter()
-        .map(|&strategy| {
-            let mut cfg = SimConfig::paper(
-                strategy,
-                scheduler,
-                WorkloadSpec::Trace {
-                    trace: trace.clone(),
-                    load,
-                    runtime_scale: scale,
-                },
-                derive_seed(seed, strategy_stream(&strategy.to_string())),
-            );
-            // same seed on either topology: a mesh and a torus replay of
-            // one strategy see identical job streams (paired comparison)
-            cfg.topology = topology;
-            cfg.measured_jobs = jobs;
-            cfg.warmup_jobs = warmup;
-            cfg
-        })
-        .collect();
-    // one batch: every strategy's replications share the worker pool
-    let points: Vec<PointResult> = if reps == 1 {
-        eprintln!("note: --reps 1 runs one replication per strategy (no confidence intervals)");
-        cfgs.iter()
-            .map(|cfg| {
-                let m = procsim::Simulator::new(cfg, 0).run();
-                PointResult {
-                    label: cfg.series_label(),
-                    load: cfg.workload.load(),
-                    replications: 1,
-                    stop: StopReason::Budget,
-                    means: m.response_vector(),
-                    ci95: [0.0; 6],
-                }
-            })
-            .collect()
-    } else {
-        run_points(pool, &cfgs, reps, reps * 2)
-    };
-    for p in &points {
-        print_result(p);
-    }
+    let results = run_batch(pool, &cfgs, reps);
 
     let stem = std::path::Path::new(path)
         .file_stem()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| "trace".into());
+    let columns = [
+        "trace", "series", "topology", "load", "factor", "reps", "means", "cis",
+    ];
+    let layout = OutputSpec {
+        columns: columns.map(String::from).to_vec(),
+        values: vec![
+            ("trace".into(), stem.clone()),
+            ("factor".into(), factor.to_string()),
+        ],
+        csv: None,
+    };
+    let csv =
+        render_csv(&layout, points.iter().zip(&results)).unwrap_or_else(|e| die(&e.to_string()));
     let csv_path = a
         .map
         .get("csv")
         .cloned()
         .unwrap_or_else(|| format!("results/trace_{stem}.csv"));
-    match write_trace_csv(&csv_path, &stem, topology, factor, &points) {
-        Ok(()) => eprintln!("wrote {csv_path}"),
-        Err(e) => die(&format!("cannot write {csv_path}: {e}")),
-    }
-}
-
-/// Writes the trace-replay CSV: one row per (series, load) point, full
-/// float precision (shortest round-trip representation), so files diff
-/// cleanly across runs and thread counts.
-fn write_trace_csv(
-    path: &str,
-    trace_name: &str,
-    topology: TopologyKind,
-    factor: f64,
-    points: &[PointResult],
-) -> std::io::Result<()> {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let mut f = std::fs::File::create(path)?;
-    writeln!(
-        f,
-        "trace,series,topology,load,factor,reps,turnaround,service,utilization,blocking,latency,\
-         fragments,ci_turnaround,ci_service,ci_utilization,ci_blocking,ci_latency,ci_fragments"
-    )?;
-    for p in points {
-        write!(
-            f,
-            "{},{},{},{},{},{}",
-            trace_name, p.label, topology, p.load, factor, p.replications
-        )?;
-        for m in p.means {
-            write!(f, ",{m}")?;
-        }
-        for c in p.ci95 {
-            write!(f, ",{c}")?;
-        }
-        writeln!(f)?;
-    }
-    Ok(())
+    write_csv(&csv_path, &csv);
+    eprintln!("wrote {csv_path}");
 }
 
 /// `procsim gen-trace <out.swf>`: write a synthetic SWF fixture (the
@@ -452,10 +443,7 @@ fn write_trace_csv(
 /// stress fixtures — the model streams straight to the file, so a
 /// million-job fixture is generated in O(1) memory).
 fn run_gen_trace(a: &Args) {
-    let out = a
-        .positional
-        .first()
-        .unwrap_or_else(|| die("gen-trace needs an output .swf path"));
+    let out = a.file("an output .swf path");
     let model = a.map.get("model").map(|s| s.as_str()).unwrap_or("paragon");
     // checked before the output file is created, so a bad model leaves it intact
     let paragon = match model {
@@ -466,11 +454,7 @@ fn run_gen_trace(a: &Args) {
     // a trace needs at least one inter-arrival time
     let jobs = a.count("jobs", 600, 2);
     let seed: u64 = a.num("seed", 2008);
-    if let Some(dir) = std::path::Path::new(out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("mkdir: {e}")));
-        }
-    }
+    create_parent(out).unwrap_or_else(|e| die(&format!("mkdir: {e}")));
     let mut rng = SimRng::new(seed);
     let file =
         std::fs::File::create(out).unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
@@ -495,7 +479,7 @@ fn run_gen_trace(a: &Args) {
     // native load without holding the records
     let trace = TraceWorkload::open(out).expect("generated trace must parse");
     let (mesh_w, mesh_l) = procsim::PAPER_MESH;
-    println!(
+    out!(
         "wrote {out}: {} jobs ({model} model, seed {seed}), native offered load {:.3} on {mesh_w}x{mesh_l}",
         trace.len(),
         trace.offered_load(mesh_w as u32 * mesh_l as u32)
@@ -509,10 +493,7 @@ fn run_gen_trace(a: &Args) {
 /// merged CSV is byte-identical to an uninterrupted run at any thread
 /// count (see `docs/CAMPAIGNS.md`).
 fn run_campaign_cmd(a: &Args, pool: &WorkerPool) {
-    let path = a
-        .positional
-        .first()
-        .unwrap_or_else(|| die("campaign needs a scenario file path"));
+    let path = a.file("a scenario file path");
     let scenario =
         Scenario::load(std::path::Path::new(path)).unwrap_or_else(|e| die(&e.to_string()));
     let points = expand(&scenario).unwrap_or_else(|e| die(&e.to_string()));
@@ -536,7 +517,7 @@ fn run_campaign_cmd(a: &Args, pool: &WorkerPool) {
     } else {
         cached_count(&points, &cache_dir)
     };
-    println!(
+    out!(
         "campaign '{}': {} points ({} cached, {} to run{})",
         scenario.name,
         points.len(),
@@ -547,7 +528,7 @@ fn run_campaign_cmd(a: &Args, pool: &WorkerPool) {
 
     if dry_run {
         for p in &points {
-            println!(
+            out!(
                 "  [{:>3}] {}({}) {} load {} seed {:#x} hash {}",
                 p.index,
                 p.settings.strategy,
@@ -564,46 +545,41 @@ fn run_campaign_cmd(a: &Args, pool: &WorkerPool) {
     let opts = CampaignOptions { cache_dir, force };
     let outcome =
         run_campaign(pool, &scenario, &points, &opts).unwrap_or_else(|e| die(&e.to_string()));
-    if let Some(dir) = std::path::Path::new(&csv_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)
-                .unwrap_or_else(|e| die(&format!("cannot create {}: {e}", dir.display())));
-        }
-    }
-    std::fs::write(&csv_path, &outcome.csv)
-        .unwrap_or_else(|e| die(&format!("cannot write {csv_path}: {e}")));
-    println!(
+    write_csv(&csv_path, &outcome.csv);
+    out!(
         "wrote {csv_path} ({} executed, {} cached)",
-        outcome.executed, outcome.cached
+        outcome.executed,
+        outcome.cached
     );
 }
 
 fn print_help() {
-    println!("procsim — 2D mesh processor allocation & scheduling simulator");
-    println!("(IPDPS 2008 reproduction; see README.md)\n");
-    println!("usage:");
+    out!("procsim — 2D mesh processor allocation & scheduling simulator");
+    out!("(IPDPS 2008 reproduction; see README.md)\n");
+    out!("usage:");
     for cmd in &COMMANDS {
-        println!("  {}", cmd.usage);
+        out!("  {}", cmd.usage);
     }
-    println!();
-    println!("campaign runs a declarative scenario file (see docs/CAMPAIGNS.md and");
-    println!("scenarios/): the cross-product of its matrix, cached per point on disk,");
-    println!("so interrupted or extended campaigns resume by rerunning only what's");
-    println!("missing — output is byte-identical at any thread count.");
-    println!();
-    println!("strategies: gabl paging0..paging3 mbs ff bf random mc");
-    println!("            (paging<k>-shuffled, -snake, -shuffled-snake: page indexing)");
-    println!("schedulers: fcfs ssd sjf ljf easy fcfs-window<N>");
-    println!("workloads:  uniform exponential paragon cm5");
-    println!("topologies: mesh torus   (--torus = legacy alias; docs/TOPOLOGIES.md)");
-    println!();
-    println!("trace --load is the target offered load (fraction of machine capacity");
-    println!("in trace time, e.g. 0.7); see docs/WORKLOADS.md for the scaling math.");
-    println!("traces replay as a streaming pipeline (bounded memory, any length);");
-    println!("--reps 1 runs one replication per strategy (stress mode, no CIs)");
-    println!();
-    println!("replications run on one worker pool; size it with --threads N");
-    println!("or PROCSIM_THREADS=N (results are identical for any thread count)");
+    out!();
+    out!("campaign runs a declarative scenario file (see docs/CAMPAIGNS.md and");
+    out!("scenarios/): the cross-product of its matrix, cached per point on disk,");
+    out!("so interrupted or extended campaigns resume by rerunning only what's");
+    out!("missing — output is byte-identical at any thread count.");
+    out!();
+    out!("strategies: gabl paging0..paging3 mbs ff bf random mc");
+    out!("            (paging<k>-shuffled, -snake, -shuffled-snake: page indexing)");
+    out!("schedulers: fcfs ssd sjf ljf easy fcfs-window<N>");
+    out!("workloads:  uniform exponential paragon cm5");
+    out!("topologies: mesh torus   (docs/TOPOLOGIES.md)");
+    out!();
+    out!("trace --load is the target offered load (fraction of machine capacity");
+    out!("in trace time, e.g. 0.7); see docs/WORKLOADS.md for the scaling math.");
+    out!("traces replay as a streaming pipeline (bounded memory, any length).");
+    out!("run, sweep and trace: --reps 1 runs one replication per point");
+    out!("(stress mode, no confidence intervals)");
+    out!();
+    out!("replications run on one worker pool; size it with --threads N");
+    out!("or PROCSIM_THREADS=N (results are identical for any thread count)");
 }
 
 fn main() {
@@ -624,20 +600,7 @@ fn main() {
     let pool = WorkerPool::new(a.count("threads", pool::default_threads(), 1));
 
     match cmd.name {
-        "run" | "sweep" => {
-            // `run` has no --loads flag; `sweep` has no --load flag
-            let loads: Vec<Option<&str>> = match a.map.get("loads") {
-                Some(loads) => loads.split(',').map(Some).collect(),
-                None if cmd.name == "run" => vec![a.map.get("load").map(String::as_str)],
-                None => a.usage_error("sweep needs --loads a,b,c"),
-            };
-            // one batch: every load's replications share the worker pool
-            let cfgs: Vec<SimConfig> = loads.into_iter().map(|l| point_config(&a, l)).collect();
-            let reps = reps.max(2);
-            for p in run_points(&pool, &cfgs, reps, reps * 2) {
-                print_result(&p);
-            }
-        }
+        "run" | "sweep" => run_sweep(&a, &pool, reps),
         "trace" => run_trace(&a, &pool, reps),
         _ => run_campaign_cmd(&a, &pool),
     }

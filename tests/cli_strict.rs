@@ -5,7 +5,7 @@
 //! 101 (a panic). Every case fails before simulating or writing anything.
 
 use std::path::Path;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const SAMPLE: &str = "results/traces/sdsc_sample.swf";
 const SMOKE: &str = "scenarios/smoke.toml";
@@ -59,6 +59,69 @@ fn unknown_flags_exit_2_with_usage() {
     );
     // a flag of another subcommand is unknown here too
     assert_usage_error(&["run", "--dry-run"], "unknown flag --dry-run");
+    // retired spellings: --topology torus and trace's --load replace them
+    assert_usage_error(&["run", "--torus"], "unknown flag --torus");
+    assert_usage_error(&["trace", SAMPLE, "--torus"], "unknown flag --torus");
+    assert_usage_error(&["trace", SAMPLE, "--factor", "2"], "unknown flag --factor");
+}
+
+#[test]
+fn bad_run_values_name_the_flag_typed() {
+    // --jobs sets the `measured` knob, but the error names --jobs
+    assert_usage_error(&["run", "--jobs", "0"], "--jobs must be at least 1");
+    assert_usage_error(&["run", "--jobs", "-5"], "bad --jobs '-5'");
+    assert_usage_error(&["sweep", "--loads", "0.001", "--jobs", "0"], "--jobs must be at least 1");
+    assert_usage_error(&["run", "--load", "x"], "bad --load 'x'");
+    assert_usage_error(&["run", "--load", "-1"], "--load: must be a positive");
+    assert_usage_error(&["sweep", "--loads", "0.001,x"], "bad --loads 'x'");
+    assert_usage_error(&["sweep", "--loads", "0.001,0"], "--loads: must be a positive");
+    assert_usage_error(&["run", "--strategy", "foo"], "--strategy: unknown strategy 'foo'");
+    assert_usage_error(&["run", "--scheduler", "foo"], "--scheduler: unknown");
+    assert_usage_error(&["run", "--workload", "foo"], "--workload: unknown workload");
+    assert_usage_error(&["run", "--workload", "trace"], "use `procsim trace <file.swf>`");
+    assert_usage_error(&["trace", SAMPLE, "--strategy", "foo"], "--strategy: unknown strategy");
+    assert_usage_error(&["trace", SAMPLE, "--scale", "0"], "--scale: must be a positive");
+    assert_usage_error(&["trace"], "trace needs a .swf file path");
+}
+
+#[test]
+fn one_rep_is_a_single_replication_for_every_subcommand() {
+    // never clamped up to two: one replication per point, CIs of 0
+    let csv = fresh_path("one_rep.csv");
+    let run = ["run", "--reps", "1", "--jobs", "20", "--load", "0.001"];
+    let sweep = ["sweep", "--reps", "1", "--jobs", "20", "--loads", "0.001"];
+    let trace = [
+        "trace", SAMPLE, "--reps", "1", "--jobs", "20", "--strategy", "gabl", "--csv", &csv,
+    ];
+    for args in [&run[..], &sweep, &trace] {
+        let out = procsim(args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        assert!(stdout.contains("±    0.0") && stdout.contains("[1 reps]"), "{args:?}: {stdout}");
+        assert!(stderr.contains("note: --reps 1"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(&csv);
+}
+
+#[test]
+fn a_closed_stdout_exits_2_without_a_panic() {
+    // `procsim trace ... | head -n 1`: the reader is gone before the
+    // results are printed, so a later write fails with a broken pipe
+    let csv = fresh_path("closed_stdout.csv");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_procsim"))
+        .args(["trace", SAMPLE, "--jobs", "40", "--reps", "2", "--csv", &csv])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("procsim binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("procsim exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("cannot write to stdout"), "{stderr}");
+    let _ = std::fs::remove_file(&csv);
 }
 
 #[test]

@@ -1,6 +1,5 @@
 //! CLI tests of the `--topology` run dimension: flag parsing (including
-//! the legacy `--torus` alias and the error paths) and torus trace
-//! replay through the real binary.
+//! the error paths) and torus trace replay through the real binary.
 
 use std::process::Command;
 
@@ -41,14 +40,15 @@ fn run_accepts_both_topologies() {
 }
 
 #[test]
-fn legacy_torus_flag_is_an_alias() {
-    let named = tiny_run(&["--topology", "torus"]);
-    let legacy = tiny_run(&["--torus"]);
-    assert!(legacy.status.success());
-    assert_eq!(
-        named.stdout, legacy.stdout,
-        "--torus must mean exactly --topology torus"
-    );
+fn legacy_torus_flag_is_an_unknown_flag() {
+    // `--topology torus` is the one spelling; the retired `--torus` alias
+    // is refused like any misspelled flag, alone or beside `--topology`
+    for args in [&["--torus"][..], &["--topology", "mesh", "--torus"]] {
+        let out = tiny_run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag --torus"), "{stderr}");
+    }
 }
 
 #[test]
@@ -78,14 +78,6 @@ fn bare_topology_flag_is_rejected() {
     // ... including when the next token is another flag
     let out = tiny_run(&["--topology", "--torus"]);
     assert!(!out.status.success(), "--topology --torus must not parse as torus");
-}
-
-#[test]
-fn contradictory_topology_flags_are_rejected() {
-    let out = tiny_run(&["--topology", "mesh", "--torus"]);
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--topology mesh contradicts --torus"), "{stderr}");
 }
 
 #[test]
