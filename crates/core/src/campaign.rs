@@ -1,10 +1,10 @@
 //! Resumable campaign runner: [`expand`] turns a [`Scenario`] into its
-//! full cross-product of experimental points; [`run_campaign`] shards the
-//! missing ones through the caller's worker pool
-//! ([`crate::replicate::run_points`]) and caches each completed point on
-//! disk under a content hash of its spec — so an interrupted or extended
-//! campaign resumes for free, rerunning only points whose results are not
-//! already cached.
+//! full cross-product of experimental points; [`run_campaign`] runs the
+//! missing ones as one batch on the caller's worker pool
+//! ([`crate::replicate::run_points`], each point within its own
+//! replication bounds) and caches each completed point on disk under a
+//! content hash of its spec — so an extended campaign, or a rerun after
+//! a failed point, runs only points whose results are not already cached.
 //!
 //! Determinism contract (pinned by `crates/core/tests/campaign_resume.rs`
 //! and the CI golden steps):
@@ -24,9 +24,9 @@
 //!   all internal maps are `BTreeMap`s, so the merged CSV is identical
 //!   however the campaign was sliced across runs (D001).
 //!
-//! Cache entries are written via temp-file + rename, so a campaign
-//! killed mid-write never leaves a torn entry — at worst the in-flight
-//! point is rerun on resume.
+//! Cache entries are written when the batch returns, each to a temp file
+//! renamed into place, so a campaign killed mid-run never leaves a torn
+//! entry; it keeps only the entries earlier runs wrote.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -225,12 +225,15 @@ pub fn expand(s: &Scenario) -> Result<Vec<CampaignPoint>, ScenarioError> {
 // the on-disk point cache
 // ---------------------------------------------------------------------------
 
-/// A campaign-runner failure: cache I/O or a scenario validation error
-/// surfaced at run time.
+/// A campaign-runner failure: cache I/O, a failed point, or a scenario
+/// validation error surfaced at run time.
 #[derive(Debug)]
 pub enum CampaignError {
     /// The scenario's `[output]` layout names an unknown column.
     Scenario(ScenarioError),
+    /// A point's replication panicked: `point <index>: <series> load <l>:
+    /// replication <r>: <panic message>`.
+    Point(String),
     /// Cache directory or CSV I/O failed.
     Io {
         /// What the runner was doing.
@@ -244,6 +247,7 @@ impl core::fmt::Display for CampaignError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             CampaignError::Scenario(e) => write!(f, "{e}"),
+            CampaignError::Point(e) => f.write_str(e),
             CampaignError::Io { context, source } => write!(f, "{context}: {source}"),
         }
     }
@@ -386,10 +390,12 @@ pub struct CampaignOutcome {
 }
 
 /// Loads every cached point of `points` (the [`expand`]ed `scenario`),
-/// runs the missing ones on `pool`, persists them, and merges everything
-/// into the scenario's CSV layout. The merged CSV is byte-identical to an
-/// uninterrupted fresh run at any thread count, however the campaign was
-/// previously sliced.
+/// runs the missing ones as one batch on `pool`, persists them, and
+/// merges everything into the scenario's CSV layout. The merged CSV is
+/// byte-identical to an uninterrupted fresh run at any thread count,
+/// however the campaign was previously sliced. A point whose replication
+/// panics is [`CampaignError::Point`], returned once every point that
+/// finished is cached.
 pub fn run_campaign(
     pool: &WorkerPool,
     scenario: &Scenario,
@@ -414,38 +420,33 @@ pub fn run_campaign(
     let from_cache: Vec<bool> = results.iter().map(Option::is_some).collect();
     let cached = from_cache.iter().filter(|&&c| c).count();
 
-    // Group the missing points by their replication bounds: each group is
-    // one `run_points` batch (the controller is per-batch). BTreeMap
-    // keeps group order deterministic; within a group, expansion order is
-    // preserved. Per-point results are independent of the grouping.
-    let mut groups: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-    for (i, r) in results.iter().enumerate() {
-        if r.is_none() {
-            groups
-                .entry((points[i].settings.min_reps, points[i].settings.max_reps))
-                .or_default()
-                .push(i);
-        }
-    }
-
-    for ((min_reps, max_reps), members) in &groups {
-        let cfgs: Vec<crate::SimConfig> = members.iter().map(|&i| points[i].sim_config()).collect();
-        let fresh = run_points(pool, &cfgs, *min_reps, *max_reps);
-        for (&i, p) in members.iter().zip(fresh) {
-            write_entry(&opts.cache_dir, &points[i], &p)?;
-            results[i] = Some(p);
-        }
-    }
-
-    let merged: Vec<PointResult> = results
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| {
-            debug_assert!(r.is_some(), "point {i} neither cached nor executed");
-            // procsim-lint: allow(D004): invariant: every point was either loaded from cache or just executed above
-            r.expect("invariant: campaign point resolved")
+    // Every missing point runs in one batch, each within its own
+    // replication bounds; per-point results do not depend on batching.
+    // A failed point is reported after every finished one is cached, so
+    // a rerun resumes past them.
+    let missing: Vec<usize> = (0..points.len()).filter(|&i| !from_cache[i]).collect();
+    let batch: Vec<_> = missing
+        .iter()
+        .map(|&i| {
+            let s = &points[i].settings;
+            (points[i].sim_config(), s.min_reps..=s.max_reps)
         })
         .collect();
+    let mut failed = Ok(());
+    for (&i, fresh) in missing.iter().zip(run_points(pool, &batch)) {
+        match fresh {
+            Ok(p) => {
+                write_entry(&opts.cache_dir, &points[i], &p)?;
+                results[i] = Some(p);
+            }
+            Err(e) => failed = failed.and(Err(CampaignError::Point(format!("point {i}: {e}")))),
+        }
+    }
+    failed?;
+
+    // every point is now either cached or just executed
+    let merged: Vec<PointResult> = results.into_iter().flatten().collect();
+    debug_assert_eq!(merged.len(), points.len());
     let settings = points.iter().map(|p| &p.settings);
     let csv =
         render_csv(&scenario.output, settings.zip(&merged)).map_err(CampaignError::Scenario)?;

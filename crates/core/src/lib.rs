@@ -18,13 +18,15 @@
 //! * [`Simulator::run`] — one replication, returning [`RunMetrics`]
 //!   ([`Simulator::run_with`] runs it under a [`Probe`] that observes
 //!   every layer call and decision, such as [`MeanHops`]),
-//! * [`replicate::run_points`] — a batch of points (one point, or every
-//!   (series × load) combination of a figure), each replicated until the
-//!   paper's 95 % CI / 5 % relative error criterion is met, in parallel
-//!   on the caller's [`WorkerPool`] (bit-identical to the sequential
-//!   reference [`replicate::run_point_seq`] at any thread count),
+//! * [`replicate::run_points`] — the one code path that runs
+//!   replications: a batch of points (one point, or every (series ×
+//!   load) combination of a figure), each replicated within its own
+//!   bounds until the paper's 95 % CI / 5 % relative error criterion is
+//!   met, in parallel on the caller's [`WorkerPool`] (bit-identical at
+//!   any thread count); a replication that panics fails only its point,
 //! * [`campaign::run_campaign`] — the [`campaign::expand`]ed points of a
-//!   scenario file, cached per point on disk, run through the same pool.
+//!   scenario file, cached per point on disk, run as one `run_points`
+//!   batch.
 //!
 //! The caller owns the only pool and passes it down: the `procsim` CLI
 //! builds one in `main`, sized by `--threads N`, else the
@@ -66,7 +68,7 @@ pub use scenario::{PointSettings, Scenario, ScenarioError};
 pub use metrics::RunMetrics;
 pub use pool::WorkerPool;
 pub use probe::{Event, MeanHops, NoProbe, Probe, RejectCause, Span};
-pub use replicate::{derive_seed, run_point_seq, run_points, PointResult};
+pub use replicate::{derive_seed, run_points, PointResult};
 pub use simulator::Simulator;
 
 // Re-export the vocabulary types callers configure with.

@@ -3,24 +3,15 @@
 //!
 //! Each *point* (one strategy × scheduler × workload × load combination)
 //! is estimated by independent replications until the 95 % CI relative
-//! error of the mean turnaround is at most 5 % (the paper's §5 protocol).
-//! There is one parallel entry point, [`run_points`], which takes the
-//! [`WorkerPool`] to run on and a batch of points (one point is a batch
-//! of one), and one oracle, [`run_point_seq`], which runs a point's
-//! replications one at a time on the calling thread.
-//!
-//! Replications are pure functions of `(SimConfig, replication seed)`, so
-//! they execute concurrently on the pool; the coordinator here re-imposes
-//! replication order when feeding the [`Replications`] controller, which
-//! makes the result **bit-identical to the sequential path for any thread
-//! count**:
-//!
-//! 1. submit the first `min_reps` replications of every point up front,
-//! 2. record finished replications strictly in replication-index order
-//!    (out-of-order arrivals are buffered),
-//! 3. while a point still [`Replications::needs_more`], top up with
-//!    another wave; replications that arrive after the controller stopped
-//!    are discarded — exactly the runs the sequential loop never starts.
+//! error of the mean turnaround is at most 5 % (the paper's §5 protocol),
+//! within the point's own replication bounds. [`run_points`] is the one
+//! code path that runs replications. It runs them concurrently on the
+//! pool (each is a pure function of `(SimConfig, replication seed)`) and
+//! feeds each point's [`Replications`] controller strictly in replication
+//! order, so every result is **bit-identical to running its replications
+//! one at a time, for any thread count and any batching**. Replications
+//! that finish after their controller stopped are discarded — exactly the
+//! runs a sequential loop never starts.
 //!
 //! Replication seeds come from [`derive_seed`]`(point_seed, rep)`, one
 //! decorrelated substream per replication, so no two replications — and,
@@ -33,6 +24,7 @@ use crate::pool::WorkerPool;
 use crate::simulator::Simulator;
 use desim::SimRng;
 use simstats::{Replications, StopReason};
+use std::ops::RangeInclusive;
 use std::sync::{mpsc, Arc};
 
 /// Derives the seed of stream `index` from a master seed: an independent
@@ -95,19 +87,15 @@ impl PointResult {
     }
 
     fn from_controller(cfg: &SimConfig, ctl: &Replications) -> PointResult {
-        let mut means = [0.0; 6];
-        let mut ci = [0.0; 6];
-        for i in 0..6 {
-            means[i] = ctl.mean(i);
-            ci[i] = ctl.ci95(i);
-        }
+        // one replication has no interval: report 0, not infinity
+        let ci95 = |i| if ctl.count() < 2 { 0.0 } else { ctl.ci95(i) };
         PointResult {
             label: cfg.series_label(),
             load: cfg.workload.load(),
             replications: ctl.count(),
             stop: ctl.stop_reason(),
-            means,
-            ci95: ci,
+            means: std::array::from_fn(|i| ctl.mean(i)),
+            ci95: std::array::from_fn(ci95),
         }
     }
 }
@@ -117,70 +105,61 @@ struct PointState {
     cfg: Arc<SimConfig>,
     ctl: Replications,
     /// Finished replications, indexed by replication number; out-of-order
-    /// arrivals wait here until the prefix below them is recorded. Kept
-    /// as `thread::Result` so a panic from a replication the controller
-    /// never consumes (an over-submitted wave tail) is dropped, exactly
-    /// like the sequential path that never starts that run.
-    results: Vec<Option<std::thread::Result<RunMetrics>>>,
-    /// Contiguous replications fed to the controller so far.
-    recorded: usize,
+    /// arrivals wait here until the controller has recorded the ones below.
+    results: Vec<Option<Result<RunMetrics, String>>>,
     /// Replications submitted to the pool so far.
     submitted: usize,
-    done: bool,
+    /// The consumed replication that panicked, and its message. A panic
+    /// in an over-submitted wave tail is never consumed, like the run a
+    /// sequential loop never starts.
+    failed: Option<(usize, String)>,
 }
 
-/// Runs a batch of experimental points on `pool`, returning one
-/// [`PointResult`] per input config, in input order.
+/// Runs a batch of experimental points on `pool`, returning one result
+/// per input point, in input order.
 ///
-/// All points share the pool: their replications interleave freely, so a
-/// slow point cannot serialize the batch. Output is bit-identical to
-/// calling [`run_point_seq`] on each config, whatever `pool.threads()`
-/// is. Each point replicates until the paper's criterion (95 % CI
+/// Each point is a config and its replication bounds `min..=max`
+/// (`min >= 1`): it replicates until the paper's criterion (95 % CI
 /// relative error of the mean turnaround at most 5 %) holds, bounded by
-/// `[min_reps, max_reps]`. Must not be called from inside a pool worker
-/// (workers are not reentrant); call it from a coordinator thread such
-/// as `main`.
+/// them. A point with one replication has CI half-widths of 0 and stops
+/// on its budget. All points share the pool: their replications
+/// interleave freely, so a slow point cannot serialize the batch, and
+/// each result is bit-identical to running that point alone, whatever
+/// `pool.threads()` is. A point whose replication panics (say, a trace
+/// file that changed while it was replayed) is an error naming the
+/// point, the replication and the panic message (`<series> load <l>:
+/// replication <r>: <message>`); the other points still finish. Must
+/// not be called from inside a pool worker (workers are not reentrant);
+/// call it from a coordinator thread such as `main`.
 pub fn run_points(
     pool: &WorkerPool,
-    cfgs: &[SimConfig],
-    min_reps: usize,
-    max_reps: usize,
-) -> Vec<PointResult> {
-    assert!(
-        (2..=max_reps).contains(&min_reps),
-        "need 2 <= min_reps <= max_reps"
-    );
-    run_controlled(pool, cfgs, || Replications::paper(6, min_reps, max_reps))
+    points: &[(SimConfig, RangeInclusive<usize>)],
+) -> Vec<Result<PointResult, String>> {
+    run_controlled(pool, points, |min, max| Replications::paper(6, min, max))
 }
 
-/// The body of [`run_points`], with the replication controller supplied
-/// by `make_ctl` (one fresh controller per point, over the 6 response
-/// variables of [`RunMetrics::response_vector`]). Tests use it with a
-/// precision target that short runs can reach.
+/// The body of [`run_points`], with each point's controller (over the 6
+/// response variables) built by `make_ctl` from its bounds. Tests use it
+/// with a precision target that short runs can reach.
 fn run_controlled(
     pool: &WorkerPool,
-    cfgs: &[SimConfig],
-    make_ctl: impl Fn() -> Replications,
-) -> Vec<PointResult> {
+    points: &[(SimConfig, RangeInclusive<usize>)],
+    make_ctl: impl Fn(usize, usize) -> Replications,
+) -> Vec<Result<PointResult, String>> {
     let (tx, rx) = mpsc::channel::<RepMsg>();
     let mut pending = 0usize;
-    let mut states: Vec<PointState> = cfgs
+    let mut states: Vec<PointState> = points
         .iter()
-        .map(|cfg| {
-            let ctl = make_ctl();
-            assert_eq!(ctl.stats().len(), 6, "controller must track 6 variables");
-            PointState {
-                cfg: Arc::new(cfg.clone()),
-                ctl,
-                results: Vec::new(),
-                recorded: 0,
-                submitted: 0,
-                done: false,
-            }
+        .map(|(cfg, reps)| PointState {
+            cfg: Arc::new(cfg.clone()),
+            ctl: make_ctl(*reps.start(), *reps.end()),
+            results: Vec::new(),
+            submitted: 0,
+            failed: None,
         })
         .collect();
 
-    // Wave 1: the sequential path always runs at least min_reps.
+    // Wave 1: every point runs at least min_reps.
     for (point, st) in states.iter_mut().enumerate() {
         let first_wave = st.ctl.min_reps();
         submit_wave(pool, &tx, point, st, first_wave, &mut pending);
@@ -192,24 +171,20 @@ fn run_controlled(
         pending -= 1;
         let st = &mut states[point];
         st.results[rep] = Some(result);
-        if st.done {
-            continue; // over-submitted wave tail; sequential never ran it
-        }
-        // Feed the controller in replication order, exactly as the
+        // Feed the controller in replication order, exactly as a
         // sequential loop would: record only while it still needs more.
-        // A panic is re-raised only when its replication is actually
-        // consumed — precisely when the sequential path would have hit it.
-        while st.ctl.needs_more() {
-            let Some(result) = st.results.get_mut(st.recorded).and_then(Option::take) else {
+        let running = |st: &PointState| st.failed.is_none() && st.ctl.needs_more();
+        while running(st) {
+            let next = st.ctl.count();
+            let Some(result) = st.results.get_mut(next).and_then(Option::take) else {
                 break; // waiting on an earlier replication
             };
-            let metrics = result.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            st.ctl.record(&metrics.response_vector());
-            st.recorded += 1;
+            match result {
+                Ok(metrics) => st.ctl.record(&metrics.response_vector()),
+                Err(message) => st.failed = Some((next, message)),
+            }
         }
-        if !st.ctl.needs_more() {
-            st.done = true;
-        } else if st.recorded == st.submitted {
+        if running(st) && st.ctl.count() == st.submitted {
             // Everything submitted is recorded and the CI is still too
             // wide: top up with another wave (bounded by the budget).
             let budget = st.ctl.max_reps().saturating_sub(st.submitted);
@@ -219,17 +194,21 @@ fn run_controlled(
     }
 
     states
-        .iter()
-        .map(|st| {
-            debug_assert!(st.done);
-            PointResult::from_controller(&st.cfg, &st.ctl)
+        .into_iter()
+        .map(|st| match st.failed {
+            None => Ok(PointResult::from_controller(&st.cfg, &st.ctl)),
+            Some((rep, message)) => Err(format!(
+                "{} load {}: replication {rep}: {message}",
+                st.cfg.series_label(),
+                st.cfg.workload.load()
+            )),
         })
         .collect()
 }
 
 /// One replication's outcome: `(point index, replication index, metrics
-/// or the panic payload of a failed simulation)`.
-type RepMsg = (usize, usize, std::thread::Result<RunMetrics>);
+/// or the message of the panic that ended it)`.
+type RepMsg = (usize, usize, Result<RunMetrics, String>);
 
 /// Submits the next `count` replications of one point to the pool.
 fn submit_wave(
@@ -250,28 +229,27 @@ fn submit_wave(
         pool.submit(move || {
             // Catch simulation panics so the coordinator always receives
             // one message per submission (otherwise `pending` never
-            // drains and run_points hangs) and can re-raise them.
+            // drains and run_points hangs) and can report them.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 Simulator::new(&cfg, rep as u64).run()
-            }));
+            }))
+            .map_err(panic_message);
             // The receiver hangs up only on coordinator panic.
             let _ = tx.send((point, rep, result));
         });
     }
 }
 
-/// The sequential reference path: one replication at a time on the
-/// calling thread. Kept as the semantic definition the parallel engine
-/// must match bit-for-bit (and for contexts without a pool).
-pub fn run_point_seq(cfg: &SimConfig, min_reps: usize, max_reps: usize) -> PointResult {
-    let mut ctl = Replications::paper(6, min_reps, max_reps);
-    let mut rep = 0u64;
-    while ctl.needs_more() {
-        let metrics: RunMetrics = Simulator::new(cfg, rep).run();
-        ctl.record(&metrics.response_vector());
-        rep += 1;
+/// The text of a panic payload (`panic!` makes a `&str` or a `String`).
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match (
+        payload.downcast_ref::<&str>(),
+        payload.downcast_ref::<String>(),
+    ) {
+        (Some(s), _) => s.to_string(),
+        (_, Some(s)) => s.clone(),
+        _ => "panicked".into(),
     }
-    PointResult::from_controller(cfg, &ctl)
 }
 
 #[cfg(test)]
@@ -280,11 +258,24 @@ mod tests {
     use crate::config::WorkloadSpec;
     use mesh_alloc::StrategyKind;
     use mesh_sched::SchedulerKind;
-    use workload::SideDist;
+    use workload::{SideDist, TraceWorkload};
 
-    fn small_cfg(load: f64, seed: u64) -> SimConfig {
+    /// The sequential reference path: one replication at a time on the
+    /// calling thread. The semantic definition the parallel engine must
+    /// match bit-for-bit.
+    fn run_point_seq(cfg: &SimConfig, min_reps: usize, max_reps: usize) -> PointResult {
+        let mut ctl = Replications::paper(6, min_reps, max_reps);
+        let mut rep = 0u64;
+        while ctl.needs_more() {
+            ctl.record(&Simulator::new(cfg, rep).run().response_vector());
+            rep += 1;
+        }
+        PointResult::from_controller(cfg, &ctl)
+    }
+
+    fn cfg(strategy: StrategyKind, load: f64, seed: u64) -> SimConfig {
         let mut cfg = SimConfig::paper(
-            StrategyKind::Gabl,
+            strategy,
             SchedulerKind::Fcfs,
             WorkloadSpec::Stochastic {
                 sides: SideDist::Uniform,
@@ -294,16 +285,32 @@ mod tests {
             seed,
         );
         cfg.warmup_jobs = 10;
+        cfg.measured_jobs = 70;
+        cfg
+    }
+
+    fn small_cfg(load: f64, seed: u64) -> SimConfig {
+        let mut cfg = cfg(StrategyKind::Gabl, load, seed);
         cfg.measured_jobs = 80;
         cfg
+    }
+
+    /// One point on `pool`: a batch of one.
+    fn one_point(
+        pool: &WorkerPool,
+        cfg: &SimConfig,
+        min_reps: usize,
+        max_reps: usize,
+    ) -> PointResult {
+        run_points(pool, &[(cfg.clone(), min_reps..=max_reps)])
+            .remove(0)
+            .expect("no replication panics")
     }
 
     #[test]
     fn point_converges_or_hits_budget() {
         let cfg = small_cfg(0.002, 99);
-        let p = run_points(&WorkerPool::new(2), std::slice::from_ref(&cfg), 3, 6)
-            .pop()
-            .unwrap();
+        let p = one_point(&WorkerPool::new(2), &cfg, 3, 6);
         assert!(p.replications >= 3 && p.replications <= 6);
         assert!(p.turnaround() > 0.0);
         assert!(p.utilization() > 0.0 && p.utilization() <= 1.0);
@@ -326,10 +333,18 @@ mod tests {
 
     #[test]
     fn batch_preserves_input_order() {
-        let cfgs = [small_cfg(0.001, 1), small_cfg(0.002, 2), small_cfg(0.003, 3)];
-        let ps = run_points(&WorkerPool::new(2), &cfgs, 2, 3);
+        let points: Vec<_> = [
+            small_cfg(0.001, 1),
+            small_cfg(0.002, 2),
+            small_cfg(0.003, 3),
+        ]
+        .into_iter()
+        .map(|cfg| (cfg, 2..=3))
+        .collect();
+        let ps = run_points(&WorkerPool::new(2), &points);
         assert_eq!(ps.len(), 3);
-        for (p, cfg) in ps.iter().zip(&cfgs) {
+        for (p, (cfg, _)) in ps.iter().zip(&points) {
+            let p = p.as_ref().expect("no replication panics");
             assert!((p.load - cfg.workload.load()).abs() < 1e-12);
         }
     }
@@ -341,11 +356,10 @@ mod tests {
         // must not be washed out by the wave over-submission (extra
         // results are discarded, not recorded). The paper's 5 % target
         // needs 1000-job runs to converge, far too slow for a unit test.
-        let mut steady = small_cfg(0.001, 31);
-        steady.measured_jobs = 70;
-        let make_ctl = || Replications::new(6, 3, 30, 0.5);
+        let steady = cfg(StrategyKind::Gabl, 0.001, 31);
         // sequential reference with the same controller
-        let mut ctl = make_ctl();
+        let loose = |min, max| Replications::new(6, min, max, 0.5);
+        let mut ctl = loose(3, 30);
         let mut rep = 0u64;
         while ctl.needs_more() {
             ctl.record(&Simulator::new(&steady, rep).run().response_vector());
@@ -357,14 +371,155 @@ mod tests {
             "want an early stop case"
         );
         assert!(ctl.count() < 30, "converged before budget");
-        let par = run_controlled(&WorkerPool::new(8), std::slice::from_ref(&steady), make_ctl)
-            .pop()
-            .unwrap();
+        let par = run_controlled(&WorkerPool::new(8), &[(steady, 3..=30)], loose)
+            .remove(0)
+            .expect("no replication panics");
         assert_eq!(par.stop, StopReason::Converged);
         assert_eq!(par.replications, ctl.count());
         for i in 0..6 {
             assert_eq!(par.means[i], ctl.mean(i));
             assert_eq!(par.ci95[i], ctl.ci95(i));
         }
+    }
+
+    #[test]
+    fn run_point_identical_for_1_2_and_8_threads() {
+        let c = cfg(StrategyKind::Gabl, 0.002, 1234);
+        let reference = run_point_seq(&c, 3, 8);
+        for threads in [1, 2, 8] {
+            let pool = WorkerPool::new(threads);
+            let p = one_point(&pool, &c, 3, 8);
+            assert_eq!(p.means, reference.means, "means @ {threads} threads");
+            assert_eq!(p.ci95, reference.ci95, "ci95 @ {threads} threads");
+            assert_eq!(
+                p.replications, reference.replications,
+                "replication count @ {threads} threads"
+            );
+            assert_eq!(p.stop, reference.stop, "stop reason @ {threads} threads");
+            assert_eq!(p.label, reference.label);
+            assert_eq!(p.load, reference.load);
+        }
+    }
+
+    #[test]
+    fn stop_reason_unchanged_under_parallel_execution() {
+        // Budget stop: max_reps too small for a 5 % CI on a short noisy
+        // run. (The converged-stop half needs a looser controller than
+        // the paper's: `converged_stop_unchanged_under_parallel_execution`.)
+        let noisy = cfg(StrategyKind::Mbs, 0.004, 77);
+        let seq = run_point_seq(&noisy, 2, 3);
+        let par = one_point(&WorkerPool::new(8), &noisy, 2, 3);
+        assert_eq!(par.stop, seq.stop);
+        assert_eq!(par.replications, seq.replications);
+    }
+
+    #[test]
+    fn batch_of_points_matches_sequential_at_any_thread_count() {
+        // A miniature campaign: 2 strategies × 2 loads, one derived seed per
+        // point exactly as campaign expansion derives them (the default seed
+        // slot is the expansion index).
+        let figure_seed = 0xF16;
+        let cfgs: Vec<SimConfig> = [StrategyKind::Gabl, StrategyKind::Mbs]
+            .into_iter()
+            .flat_map(|s| [0.001, 0.002].into_iter().map(move |l| (s, l)))
+            .enumerate()
+            .map(|(i, (s, l))| cfg(s, l, derive_seed(figure_seed, i as u64)))
+            .collect();
+        let reference: Vec<_> = cfgs.iter().map(|c| run_point_seq(c, 2, 4)).collect();
+        let points: Vec<_> = cfgs.into_iter().map(|c| (c, 2..=4)).collect();
+        for threads in [1, 3] {
+            let pool = WorkerPool::new(threads);
+            let batch = run_points(&pool, &points);
+            assert_eq!(batch.len(), reference.len());
+            for (b, r) in batch.iter().zip(&reference) {
+                let b = b.as_ref().expect("no replication panics");
+                assert_eq!(b.means, r.means, "@ {threads} threads");
+                assert_eq!(b.ci95, r.ci95);
+                assert_eq!(b.replications, r.replications);
+                assert_eq!(b.stop, r.stop);
+            }
+        }
+    }
+
+    #[test]
+    fn points_with_distinct_derived_seeds_use_distinct_streams() {
+        // Two points differing only in their derived seed must not replay the
+        // same replication streams (the pre-fix footgun: every point of a
+        // figure shared cfg.seed, so rep r was the same random run anywhere).
+        let a = run_point_seq(&cfg(StrategyKind::Gabl, 0.002, derive_seed(9, 0)), 2, 2);
+        let b = run_point_seq(&cfg(StrategyKind::Gabl, 0.002, derive_seed(9, 1)), 2, 2);
+        assert_ne!(
+            a.means, b.means,
+            "identical streams across points: seeding footgun is back"
+        );
+    }
+
+    #[test]
+    fn one_replication_is_replication_0_with_zero_cis() {
+        let c = cfg(StrategyKind::Mbs, 0.002, 5);
+        let p = one_point(&WorkerPool::new(2), &c, 1, 1);
+        assert_eq!(p.replications, 1);
+        assert_eq!(p.stop, StopReason::Budget);
+        assert_eq!(p.means, Simulator::new(&c, 0).run().response_vector());
+        assert_eq!(p.ci95, [0.0; 6]);
+    }
+
+    #[test]
+    fn mixed_bounds_in_one_batch_match_each_point_alone() {
+        let a = (cfg(StrategyKind::Gabl, 0.002, 11), 1..=1);
+        let b = (cfg(StrategyKind::Mbs, 0.003, 12), 2..=5);
+        let c = (cfg(StrategyKind::Gabl, 0.001, 13), 3..=3);
+        let batch = [a, b, c];
+        for threads in [1, 4] {
+            let pool = WorkerPool::new(threads);
+            let together = run_points(&pool, &batch);
+            for (point, got) in batch.iter().zip(together) {
+                let got = got.expect("no replication panics");
+                let alone = one_point(&pool, &point.0, *point.1.start(), *point.1.end());
+                assert_eq!(got.means, alone.means, "@ {threads} threads");
+                assert_eq!(got.ci95, alone.ci95);
+                assert_eq!(got.replications, alone.replications);
+                assert!(point.1.contains(&got.replications));
+            }
+        }
+    }
+
+    #[test]
+    fn a_trace_changed_mid_run_fails_only_its_point() {
+        let model = workload::ParagonModel {
+            jobs: 200,
+            ..Default::default()
+        };
+        let text = workload::write_swf(&model.generate(&mut SimRng::new(0x5EED)));
+        let path = std::env::temp_dir().join(format!("procsim_rep_{}.swf", std::process::id()));
+        std::fs::write(&path, &text).expect("trace written");
+        let trace = Arc::new(TraceWorkload::open(&path).expect("trace opens"));
+        // shorten it after the validating pass: the replay hits a cut line
+        std::fs::write(&path, &text[..2000]).expect("trace shortened");
+
+        let stochastic = cfg(StrategyKind::Gabl, 0.002, 7);
+        let workload = WorkloadSpec::Trace {
+            trace,
+            load: 0.7,
+            runtime_scale: 360.0,
+        };
+        let mut replay = SimConfig::paper(StrategyKind::Mbs, SchedulerKind::Fcfs, workload, 8);
+        replay.warmup_jobs = 10;
+        replay.measured_jobs = 100;
+        let pool = WorkerPool::new(2);
+        let batch = run_points(&pool, &[(stochastic.clone(), 2..=4), (replay, 2..=4)]);
+        let _ = std::fs::remove_file(&path);
+
+        let err = batch[1].as_ref().expect_err("the replay must fail");
+        assert!(err.starts_with("MBS(FCFS) load 0.7: replication "), "{err}");
+        assert!(
+            err.contains(": trace file ") && err.contains("changed mid-run"),
+            "{err}"
+        );
+        let alone = one_point(&pool, &stochastic, 2, 4);
+        let together = batch[0].as_ref().expect("the stochastic point finishes");
+        assert_eq!(together.means, alone.means);
+        assert_eq!(together.ci95, alone.ci95);
+        assert_eq!(together.replications, alone.replications);
     }
 }

@@ -8,12 +8,18 @@
 //! * an extended matrix runs only the new points;
 //! * corrupt or stale-spec entries degrade to misses, never to wrong
 //!   merges;
-//! * thread count and `--force` never change bytes.
+//! * thread count and `--force` never change bytes;
+//! * points with different replication bounds run as one batch;
+//! * a failed point is an error only after every finished point is
+//!   cached, so a rerun resumes past them.
 
+use desim::SimRng;
 use procsim_core::{
-    expand, run_campaign, CampaignError, CampaignOptions, CampaignOutcome, Scenario, WorkerPool,
+    expand, run_campaign, run_points, CampaignError, CampaignOptions, CampaignOutcome, Scenario,
+    WorkerPool,
 };
 use std::path::{Path, PathBuf};
+use workload::{write_swf, ParagonModel};
 
 /// A 4-point campaign tiny enough for a debug-profile test (8×8 mesh,
 /// a handful of measured jobs, two replications pinned).
@@ -229,4 +235,78 @@ fn corrupt_or_mismatched_entries_degrade_to_misses() {
     assert_eq!(again.csv, base.csv, "damage never corrupts the merge");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn mixed_replication_bounds_run_as_one_batch() {
+    // MBS points replicate 3 to 5 times, GABL points exactly twice; one
+    // batch must give every point what it gets run alone with its bounds
+    let s = Scenario::parse(&format!(
+        "{TINY}[override.strategy=mbs]\nmin_reps = 3\nmax_reps = 5\n"
+    ))
+    .expect("override variant is valid");
+    let points = expand(&s).expect("scenario expands");
+    for threads in [1, 4] {
+        let dir = cache_dir(&format!("mixed{threads}"));
+        let pool = WorkerPool::new(threads);
+        let together = run(&s, &dir, threads, false).expect("mixed campaign");
+        assert_eq!((together.executed, together.cached), (4, 0));
+        for (point, got) in points.iter().zip(&together.points) {
+            let reps = point.settings.min_reps..=point.settings.max_reps;
+            assert!(reps.contains(&got.replications), "{}", got.label);
+            let alone = run_points(&pool, &[(point.sim_config(), reps)])
+                .remove(0)
+                .expect("no replication panicked");
+            assert_eq!(got.means, alone.means, "{} @ {threads} threads", got.label);
+            assert_eq!(got.ci95, alone.ci95);
+            assert_eq!(got.replications, alone.replications);
+            assert_eq!(got.stop, alone.stop);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_failed_point_is_an_error_after_the_others_are_cached() {
+    let model = ParagonModel {
+        jobs: 200,
+        ..ParagonModel::default()
+    };
+    let text = write_swf(&model.generate(&mut SimRng::new(0xF00D)));
+    let swf =
+        std::env::temp_dir().join(format!("procsim_campaign_fail_{}.swf", std::process::id()));
+    std::fs::write(&swf, &text).expect("trace written");
+    let s = Scenario::parse(&format!(
+        "[campaign]\nname = \"fail_test\"\nseed = 5\n\n[defaults]\ntrace = {:?}\n\
+         warmup = 2\nmeasured = 15\nmin_reps = 2\nmax_reps = 2\n\n[matrix]\n\
+         workload = [\"uniform\", \"trace\", \"exponential\"]\n",
+        swf.to_string_lossy()
+    ))
+    .expect("scenario is valid");
+    let points = expand(&s).expect("scenario expands");
+    // the trace changes after expansion validated it: its replay fails
+    std::fs::write(&swf, &text[..text.len() / 20]).expect("trace shortened");
+    let dir = cache_dir("fail");
+    let opts = CampaignOptions {
+        cache_dir: dir.clone(),
+        force: false,
+    };
+    let pool = WorkerPool::new(2);
+    match run_campaign(&pool, &s, &points, &opts) {
+        Err(CampaignError::Point(error)) => {
+            assert!(error.starts_with("point 1: GABL(FCFS) load "), "{error}");
+            assert!(error.contains(": replication "), "{error}");
+            assert!(error.contains("changed mid-run"), "{error}");
+        }
+        other => panic!("want the trace point's failure, got {other:?}"),
+    }
+    assert_eq!(point_files(&dir).len(), 2, "both finished points are cached");
+
+    // with the file restored, a rerun runs only the failed point
+    std::fs::write(&swf, &text).expect("trace restored");
+    let points = expand(&s).expect("scenario expands");
+    let rerun = run_campaign(&pool, &s, &points, &opts).expect("rerun");
+    assert_eq!((rerun.executed, rerun.cached), (1, 2));
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&swf);
 }

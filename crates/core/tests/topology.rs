@@ -33,13 +33,9 @@ fn cfg(topology: TopologyKind, strategy: StrategyKind, load: f64, seed: u64) -> 
 #[test]
 fn torus_point_metrics_and_stop_reason_are_sane() {
     let pool = WorkerPool::new(2);
-    let points = run_points(
-        &pool,
-        &[cfg(TopologyKind::Torus, StrategyKind::Gabl, 0.002, 77)],
-        2,
-        4,
-    );
-    let p = &points[0];
+    let c = cfg(TopologyKind::Torus, StrategyKind::Gabl, 0.002, 77);
+    let points = run_points(&pool, &[(c, 2..=4)]);
+    let p = points[0].as_ref().unwrap();
     assert!(matches!(p.stop, StopReason::Converged | StopReason::Budget));
     assert!(p.replications >= 2 && p.replications <= 4);
     assert!(p.turnaround() > 0.0);
@@ -76,10 +72,12 @@ fn torus_batch_is_thread_count_invariant() {
                 .map(move |load| cfg(t, StrategyKind::Gabl, load, 0xBEEF))
         })
         .collect();
-    let p1 = run_points(&WorkerPool::new(1), &cfgs, 2, 3);
-    let p4 = run_points(&WorkerPool::new(4), &cfgs, 2, 3);
+    let points: Vec<_> = cfgs.into_iter().map(|c| (c, 2..=3)).collect();
+    let p1 = run_points(&WorkerPool::new(1), &points);
+    let p4 = run_points(&WorkerPool::new(4), &points);
     assert_eq!(p1.len(), p4.len());
     for (a, b) in p1.iter().zip(&p4) {
+        let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
         assert_eq!(a.means, b.means, "thread count changed results");
         assert_eq!(a.ci95, b.ci95);
         assert_eq!(a.replications, b.replications);
@@ -149,8 +147,9 @@ fn torus_outperforms_mesh_when_saturated() {
     let load = 0.03;
     let run = |t| {
         let pool = WorkerPool::new(2);
-        run_points(&pool, &[cfg(t, StrategyKind::Mbs, load, seed)], 3, 3)
+        run_points(&pool, &[(cfg(t, StrategyKind::Mbs, load, seed), 3..=3)])
             .pop()
+            .unwrap()
             .unwrap()
     };
     let mesh = run(TopologyKind::Mesh);

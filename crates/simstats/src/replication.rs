@@ -36,10 +36,11 @@ pub struct Replications {
 impl Replications {
     /// `vars` response variables; stop when variable 0's 95 % CI relative
     /// error is at most `target_rel_err`, after at least `min_reps` and at
-    /// most `max_reps` replications.
+    /// most `max_reps` replications. `min_reps` may be 1: one sample has
+    /// an infinite interval, so it never converges and stops on its budget.
     pub fn new(vars: usize, min_reps: usize, max_reps: usize, target_rel_err: f64) -> Self {
         assert!(vars >= 1);
-        assert!(min_reps >= 2 && max_reps >= min_reps);
+        assert!(min_reps >= 1 && max_reps >= min_reps);
         assert!(target_rel_err > 0.0);
         Replications {
             stats: vec![Welford::new(); vars],
@@ -114,11 +115,6 @@ impl Replications {
     pub fn relative_error(&self) -> f64 {
         self.stats[0].relative_error()
     }
-
-    /// Per-variable accumulators.
-    pub fn stats(&self) -> &[Welford] {
-        &self.stats
-    }
 }
 
 #[cfg(test)]
@@ -171,6 +167,17 @@ mod tests {
         assert!((r.mean(0) - 11.0).abs() < 1e-12);
         assert!((r.mean(1) - 0.55).abs() < 1e-12);
         assert!((r.mean(2) - 705.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn one_replication_stops_on_its_budget() {
+        // one sample has an infinite CI: never Converged, even at zero spread
+        let mut r = Replications::paper(1, 1, 1);
+        assert!(r.needs_more());
+        r.record(&[100.0]);
+        assert_eq!(r.stop_reason(), StopReason::Budget);
+        assert_eq!(r.mean(0), 100.0);
+        assert_eq!(r.ci95(0), f64::INFINITY);
     }
 
     #[test]

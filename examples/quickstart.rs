@@ -36,12 +36,13 @@ fn main() {
             // full 1000-job runs
             cfg.warmup_jobs = 100;
             cfg.measured_jobs = 400;
-            cfgs.push(cfg);
+            cfgs.push((cfg, 3..=8));
         }
     }
     // one batch: every point's replications share one pool
     let pool = WorkerPool::new(pool::default_threads());
-    for p in run_points(&pool, &cfgs, 3, 8) {
+    for p in run_points(&pool, &cfgs) {
+        let p = p.expect("no replication panicked");
         println!(
             "{:<16} {:>12.1} {:>10.1} {:>8.3} {:>10.1} {:>10.1} {:>6}",
             p.label,

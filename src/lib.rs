@@ -31,7 +31,8 @@
 //! // replications run in parallel on a pool the caller owns; the thread
 //! // count never changes the result
 //! let pool = WorkerPool::new(2);
-//! let point = &run_points(&pool, &[cfg], 3, 5)[0];
+//! // 3 to 5 replications: a point carries its own replication bounds
+//! let point = run_points(&pool, &[(cfg, 3..=5)]).remove(0).expect("no replication panicked");
 //! assert!(point.turnaround() > 0.0);
 //! assert!(point.utilization() > 0.0 && point.utilization() <= 1.0);
 //! ```
@@ -62,10 +63,10 @@ pub use workload::{
 
 // --- the integrated simulator ----------------------------------------------
 pub use procsim_core::{
-    cached_count, derive_seed, expand, pool, run_campaign, run_point_seq, run_points,
-    CampaignError, CampaignOptions, CampaignOutcome, CampaignPoint, Event, MeanHops, NoProbe,
-    PointResult, PointSettings, Probe, RejectCause, RunMetrics, Scenario, ScenarioError,
-    SimConfig, Simulator, Span, WorkerPool, WorkloadSpec,
+    cached_count, derive_seed, expand, pool, run_campaign, run_points, CampaignError,
+    CampaignOptions, CampaignOutcome, CampaignPoint, Event, MeanHops, NoProbe, PointResult,
+    PointSettings, Probe, RejectCause, RunMetrics, Scenario, ScenarioError, SimConfig,
+    Simulator, Span, WorkerPool, WorkloadSpec,
 };
 
 /// The mesh dimensions used throughout the paper (the 352-node SDSC

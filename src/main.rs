@@ -27,19 +27,27 @@
 use procsim::{
     cached_count, derive_seed, expand, pool, run_campaign, run_points, write_swf_to,
     CampaignOptions, Cm5Model, ParagonModel, PointResult, PointSettings, Scenario, SimConfig,
-    SimRng, Simulator, StopReason, StrategyKind, TraceWorkload, WorkerPool,
+    SimRng, StrategyKind, TraceWorkload, WorkerPool,
 };
 use procsim_core::campaign::{fnv1a, render_csv};
 use procsim_core::scenario::{OutputSpec, Value, WorkloadName};
 use std::io::Write;
 use std::sync::Arc;
 
-/// Writes one line to stdout. A failed write (say, a reader that closed
-/// the pipe early) ends the process with exit 2, never a panic.
+/// Writes one line to stdout (`out!`) or stderr (`err!`). A failed write
+/// (say, a reader that closed the pipe early) ends the process with exit
+/// 2, never a panic; a failed stderr write leaves nowhere to report it.
 macro_rules! out {
     ($($arg:tt)*) => {
         if let Err(e) = writeln!(std::io::stdout(), $($arg)*) {
             die(&format!("cannot write to stdout: {e}"))
+        }
+    };
+}
+macro_rules! err {
+    ($($arg:tt)*) => {
+        if writeln!(std::io::stderr(), $($arg)*).is_err() {
+            std::process::exit(2)
         }
     };
 }
@@ -139,10 +147,8 @@ struct Args {
 impl Args {
     /// Exits 2 with `msg` and the subcommand's usage.
     fn usage_error(&self, msg: &str) -> ! {
-        eprintln!("error: {msg}");
-        eprintln!("usage:\n  {}", self.cmd.usage);
-        eprintln!("run `procsim help` for the accepted values");
-        std::process::exit(2)
+        let hint = "run `procsim help` for the accepted values";
+        die(&format!("{msg}\nusage:\n  {}\n{hint}", self.cmd.usage))
     }
 
     /// The positional file argument; its absence is a usage error.
@@ -262,9 +268,9 @@ fn parse_args(cmd: &'static Cmd, args: &[String]) -> Args {
     a
 }
 
+/// Exits 2 with `error: msg`; only [`Args::usage_error`] adds the usage.
 fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("run `procsim help` for usage");
+    err!("error: {msg}");
     std::process::exit(2)
 }
 
@@ -301,23 +307,20 @@ fn print_result(p: &PointResult) {
 /// Runs every point's replications as one batch on `pool` and prints one
 /// line per point: `reps` to `2 × reps` replications each, until the
 /// paper's precision holds, or with `--reps 1` a single replication per
-/// point and no confidence intervals.
-fn run_batch(pool: &WorkerPool, cfgs: &[SimConfig], reps: usize) -> Vec<PointResult> {
-    let points = if reps == 1 {
-        eprintln!("note: --reps 1 runs one replication per point (no confidence intervals)");
-        cfgs.iter()
-            .map(|cfg| PointResult {
-                label: cfg.series_label(),
-                load: cfg.workload.load(),
-                replications: 1,
-                stop: StopReason::Budget,
-                means: Simulator::new(cfg, 0).run().response_vector(),
-                ci95: [0.0; 6],
-            })
-            .collect()
+/// point and no confidence intervals. A failed replication exits 2
+/// before anything is printed or written.
+fn run_batch(pool: &WorkerPool, cfgs: Vec<SimConfig>, reps: usize) -> Vec<PointResult> {
+    let reps = if reps == 1 {
+        err!("note: --reps 1 runs one replication per point (no confidence intervals)");
+        1..=1
     } else {
-        run_points(pool, cfgs, reps, reps * 2)
+        reps..=reps * 2
     };
+    let batch: Vec<_> = cfgs.into_iter().map(|cfg| (cfg, reps.clone())).collect();
+    let points: Vec<PointResult> = run_points(pool, &batch)
+        .into_iter()
+        .map(|p| p.unwrap_or_else(|e| die(&e)))
+        .collect();
     for p in &points {
         print_result(p);
     }
@@ -343,8 +346,8 @@ fn run_sweep(a: &Args, pool: &WorkerPool, reps: usize) {
     let loads = loads.into_iter().map(Value::Float).collect();
     let points = a.axis(&base, flag, "load", loads);
     let seed = a.num("seed", 42);
-    let cfgs: Vec<SimConfig> = points.iter().map(|p| p.sim_config(seed, None)).collect();
-    run_batch(pool, &cfgs, reps);
+    let cfgs = points.iter().map(|p| p.sim_config(seed, None)).collect();
+    run_batch(pool, cfgs, reps);
 }
 
 /// `procsim trace <file.swf>`: replay an SWF trace at a target offered
@@ -405,12 +408,12 @@ fn run_trace(a: &Args, pool: &WorkerPool, reps: usize) {
     // warmup + measurement to what the trace can feed
     let (warmup, jobs) = (cfgs[0].warmup_jobs, cfgs[0].measured_jobs);
     if (warmup, jobs) != (base.warmup, base.measured) {
-        eprintln!(
+        err!(
             "warning: trace has only {} jobs; measuring {jobs} after {warmup} warmup",
             trace.len()
         );
     }
-    let results = run_batch(pool, &cfgs, reps);
+    let results = run_batch(pool, cfgs, reps);
 
     let stem = std::path::Path::new(path)
         .file_stem()
@@ -435,7 +438,7 @@ fn run_trace(a: &Args, pool: &WorkerPool, reps: usize) {
         .cloned()
         .unwrap_or_else(|| format!("results/trace_{stem}.csv"));
     write_csv(&csv_path, &csv);
-    eprintln!("wrote {csv_path}");
+    err!("wrote {csv_path}");
 }
 
 /// `procsim gen-trace <out.swf>`: write a synthetic SWF fixture (the
@@ -449,7 +452,7 @@ fn run_gen_trace(a: &Args) {
     let paragon = match model {
         "paragon" => true,
         "cm5" => false,
-        other => die(&format!("unknown model '{other}' (paragon or cm5)")),
+        other => a.usage_error(&format!("unknown model '{other}' (paragon or cm5)")),
     };
     // a trace needs at least one inter-arrival time
     let jobs = a.count("jobs", 600, 2);
@@ -590,12 +593,20 @@ fn main() {
             print_help();
             return;
         }
-        die(&format!("unknown command '{name}'"));
+        die(&format!("unknown command '{name}' (see `procsim help`)"));
     };
     let a = parse_args(cmd, &argv[1..]);
     if cmd.name == "gen-trace" {
         return run_gen_trace(&a); // writes a file; simulates nothing
     }
+    // pool workers (`procsim-worker-<i>`) run only replications, whose
+    // panics come back from `run_points` as their point's error and are
+    // reported as one; a panic anywhere else keeps its report
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| match std::thread::current().name() {
+        Some(name) if name.starts_with("procsim-worker") => {}
+        _ => report(info),
+    }));
     let reps = a.count("reps", 3, 1);
     let pool = WorkerPool::new(a.count("threads", pool::default_threads(), 1));
 

@@ -121,7 +121,39 @@ fn a_closed_stdout_exits_2_without_a_panic() {
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(stderr.contains("cannot write to stdout"), "{stderr}");
+    assert!(!stderr.contains("procsim help"), "not a usage error: {stderr}");
     let _ = std::fs::remove_file(&csv);
+}
+
+#[test]
+fn a_closed_stderr_exits_2_without_a_panic() {
+    // the final `wrote <path>` line goes to stderr after the simulation,
+    // so it meets a closed pipe whatever the timing
+    let csv = fresh_path("closed_stderr.csv");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_procsim"))
+        .args(["trace", SAMPLE, "--jobs", "40", "--reps", "2", "--csv", &csv])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("procsim binary runs");
+    drop(child.stderr.take());
+    let status = child.wait().expect("procsim exits");
+    assert_eq!(status.code(), Some(2));
+    let _ = std::fs::remove_file(&csv);
+}
+
+#[test]
+fn an_unwritable_csv_is_an_io_error_without_usage() {
+    // the CSV's directory is a file: nothing about the command line is wrong
+    let file = fresh_path("not_a_dir");
+    std::fs::write(&file, "").expect("scratch file written");
+    let csv = format!("{file}/x.csv");
+    let out = procsim(&["trace", SAMPLE, "--jobs", "20", "--reps", "1", "--csv", &csv]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains(&format!("error: cannot write {csv}")), "{stderr}");
+    assert!(!stderr.contains("procsim help") && !stderr.contains("usage"), "{stderr}");
+    let _ = std::fs::remove_file(&file);
 }
 
 #[test]
@@ -168,10 +200,7 @@ fn gen_trace_rejects_fewer_than_two_jobs_before_writing() {
 fn gen_trace_rejects_an_unknown_model_without_touching_the_file() {
     let out = fresh_path("keep.swf");
     std::fs::write(&out, "; kept\n").expect("scratch file written");
-    let res = procsim(&["gen-trace", &out, "--model", "foo"]);
-    let stderr = String::from_utf8_lossy(&res.stderr);
-    assert_eq!(res.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("unknown model 'foo'"), "{stderr}");
+    assert_usage_error(&["gen-trace", &out, "--model", "foo"], "unknown model 'foo'");
     let kept = std::fs::read_to_string(&out).expect("file still there");
     assert_eq!(kept, "; kept\n", "the output file was overwritten");
     let _ = std::fs::remove_file(&out);

@@ -9,7 +9,9 @@ use procsim::{
 /// One point, replicated on a small pool of its own.
 fn one_point(cfg: &SimConfig, min_reps: usize, max_reps: usize) -> PointResult {
     let pool = WorkerPool::new(2);
-    run_points(&pool, std::slice::from_ref(cfg), min_reps, max_reps).remove(0)
+    run_points(&pool, &[(cfg.clone(), min_reps..=max_reps)])
+        .remove(0)
+        .expect("no replication panicked")
 }
 
 fn stochastic(load: f64) -> WorkloadSpec {
